@@ -108,10 +108,10 @@ double cancel_heavy_ops_per_sec(int batch, int rounds) {
 }
 
 /// Pops/sec of a pure drain: each round schedules one big batch up front
-/// and then drains it with no further scheduling. After the first flush
-/// the ready queue holds a single sorted run over an empty spill — the
-/// settle() fast-path shape an episode's tail (and the cancel-heavy
-/// pattern between batches) sits in almost exclusively.
+/// and then drains it with no further scheduling — the shape an episode's
+/// tail (and the cancel-heavy pattern between batches) sits in. The
+/// payload keeps its historical `single_run_drain` name, from the
+/// merge-run queue whose sole-run fast path it measured.
 template <typename Sim>
 double single_run_drain_pops_per_sec(int batch, int rounds) {
   Sim sim;

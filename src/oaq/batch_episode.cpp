@@ -211,10 +211,8 @@ void BatchEpisodeEngine::run_des_lane(std::int64_t e, Duration phase,
   result_buf_.telemetry.sim_events = sim_.processed_count();
   result_buf_.telemetry.sim_peak_pending = sim_.peak_pending_count();
   const QueueStats& qs = sim_.queue_stats();
-  result_buf_.telemetry.sim_runs_created = qs.runs_created;
-  result_buf_.telemetry.sim_run_merges = qs.run_merges;
   result_buf_.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-  result_buf_.telemetry.sim_max_run_length = qs.max_run_length;
+  result_buf_.telemetry.sim_max_entries = qs.max_entries;
 
   if (invariants != nullptr) {
     invariants->check_episode(e, result_buf_, cfg_);
@@ -327,15 +325,11 @@ void BatchEpisodeEngine::run_block_interleaved(std::int64_t b, int n,
           sim_.episode_peak_pending(static_cast<std::uint16_t>(j));
       if (j == last_drained) {
         const QueueStats& qs = sim_.queue_stats();
-        out.telemetry.sim_runs_created = qs.runs_created;
-        out.telemetry.sim_run_merges = qs.run_merges;
         out.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-        out.telemetry.sim_max_run_length = qs.max_run_length;
+        out.telemetry.sim_max_entries = qs.max_entries;
       } else {
-        out.telemetry.sim_runs_created = 0;
-        out.telemetry.sim_run_merges = 0;
         out.telemetry.sim_tombstones_purged = 0;
-        out.telemetry.sim_max_run_length = 0;
+        out.telemetry.sim_max_entries = 0;
       }
       if (invariants != nullptr) {
         invariants->check_episode(e, out, cfg_);

@@ -195,9 +195,25 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   // below never grows the ledger (zero steady-state allocations).
   if (want_ledger) out.ledger.reserve(target_id);
 
-  // One handler per satellite routes envelopes to every episode (each
-  // filters by target id); likewise for the ground station. Geometric
-  // passes can involve any active satellite of the constellation.
+  // Owner index: every coordination and alert payload names its target,
+  // so each handler hands the envelope to exactly that target's episode.
+  // Escaped and pre-screened targets stay null — nothing of theirs is
+  // ever in flight. Offering an envelope to any other episode would be a
+  // no-op (each filters by target id), so routing leaves event order, RNG
+  // draws and every output byte unchanged while making dispatch O(1).
+  std::vector<TargetEpisode*> owner(static_cast<std::size_t>(target_id),
+                                    nullptr);
+  for (auto& ep : episodes) {
+    owner[static_cast<std::size_t>(ep->target_id())] = ep.get();
+  }
+  const auto owner_of = [&owner](int id) -> TargetEpisode* {
+    return id >= 0 && static_cast<std::size_t>(id) < owner.size()
+               ? owner[static_cast<std::size_t>(id)]
+               : nullptr;
+  };
+
+  // One handler per satellite, plus the ground station. Geometric passes
+  // can involve any active satellite of the constellation.
   std::vector<SatelliteId> sats;
   if (config.constellation != nullptr) {
     sats = config.constellation->active_satellites();
@@ -205,28 +221,42 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
     for (int slot = 0; slot < config.k; ++slot) sats.push_back({0, slot});
   }
   for (const SatelliteId id : sats) {
-    net.register_node(Address::sat(id), [&episodes, id](const Envelope& env) {
-      for (auto& ep : episodes) ep->handle_satellite_message(id, env);
+    net.register_node(Address::sat(id), [owner_of, id](const Envelope& env) {
+      int target = -1;
+      if (const auto* req = env.payload.get_if<CoordinationRequest>()) {
+        target = req->target_id;
+      } else if (const auto* done = env.payload.get_if<CoordinationDone>()) {
+        target = done->target_id;
+      }
+      if (TargetEpisode* ep = owner_of(target)) {
+        ep->handle_satellite_message(id, env);
+      }
     });
   }
-  net.register_node(Address::ground(), [&episodes](const Envelope& env) {
+  net.register_node(Address::ground(), [owner_of](const Envelope& env) {
     const auto* alert = env.payload.get_if<AlertMessage>();
     if (alert == nullptr) return;
-    for (auto& ep : episodes) ep->handle_ground_alert(*alert);
+    if (TargetEpisode* ep = owner_of(alert->target_id)) {
+      ep->handle_ground_alert(*alert);
+    }
   });
 
   // Fault plan (times relative to the campaign origin) and graceful
-  // degradation: finally-dropped coordination requests are offered to
-  // every episode for a re-route (each filters by target id). Both stay
-  // detached on the default path, keeping it byte-identical.
+  // degradation: a finally-dropped coordination request goes back to its
+  // owning episode for a re-route. Both stay detached on the default
+  // path, keeping it byte-identical.
   const FaultPlan* plan =
       config.fault_plan != nullptr && !config.fault_plan->empty()
           ? config.fault_plan
           : nullptr;
   if (config.protocol.reliable_links || config.protocol.self_healing_links ||
       plan != nullptr) {
-    net.set_drop_handler([&episodes](const Envelope& env, DropReason reason) {
-      for (auto& ep : episodes) ep->handle_send_failure(env, reason);
+    net.set_drop_handler([owner_of](const Envelope& env, DropReason reason) {
+      const auto* req = env.payload.get_if<CoordinationRequest>();
+      if (req == nullptr) return;
+      if (TargetEpisode* ep = owner_of(req->target_id)) {
+        ep->handle_send_failure(env, reason);
+      }
     });
   }
   std::optional<FaultInjector> injector;
@@ -332,14 +362,10 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
               static_cast<double>(sim.peak_pending_count()));
     if (config.queue_metrics) {
       const QueueStats& qs = sim.queue_stats();
-      m.add("sim.queue.runs_created",
-            static_cast<std::int64_t>(qs.runs_created));
-      m.add("sim.queue.run_merges",
-            static_cast<std::int64_t>(qs.run_merges));
       m.add("sim.queue.tombstones_purged",
             static_cast<std::int64_t>(qs.tombstones_purged));
-      m.observe("sim.queue.max_run_length",
-                static_cast<double>(qs.max_run_length));
+      m.observe("sim.queue.max_entries",
+                static_cast<double>(qs.max_entries));
     }
     if (shared_cache != nullptr || vis_cache) {
       const VisibilityCacheStats& vs =

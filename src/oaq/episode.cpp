@@ -133,10 +133,8 @@ EpisodeResult EpisodeEngine::run(TimePoint signal_start,
   result.telemetry.sim_events = sim.processed_count();
   result.telemetry.sim_peak_pending = sim.peak_pending_count();
   const QueueStats& qs = sim.queue_stats();
-  result.telemetry.sim_runs_created = qs.runs_created;
-  result.telemetry.sim_run_merges = qs.run_merges;
   result.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-  result.telemetry.sim_max_run_length = qs.max_run_length;
+  result.telemetry.sim_max_entries = qs.max_entries;
 
   if (hooks != nullptr && hooks->invariants != nullptr) {
     hooks->invariants->check_episode(episode_id, result, config_);

@@ -108,11 +108,9 @@ struct EpisodeTelemetry {
   std::uint64_t faults_injected = 0;        ///< FaultInjector activations
   std::uint64_t sim_events = 0;             ///< DES events processed
   std::uint64_t sim_peak_pending = 0;       ///< DES queue-depth high water
-  // Merge-run ready-queue maintenance counters (Simulator::QueueStats).
-  std::uint64_t sim_runs_created = 0;
-  std::uint64_t sim_run_merges = 0;
+  // Ready-queue maintenance counters (Simulator::QueueStats).
   std::uint64_t sim_tombstones_purged = 0;
-  std::uint64_t sim_max_run_length = 0;
+  std::uint64_t sim_max_entries = 0;  ///< heap high-water incl. tombstones
   // Link-health + stochastic-fault telemetry (ISSUE 10; all zero unless
   // self-healing links or stochastic clauses are in play).
   std::uint64_t links_demoted = 0;       ///< healthy → demoted transitions

@@ -82,14 +82,10 @@ void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r,
   m.observe("sim.peak_pending",
             static_cast<double>(r.telemetry.sim_peak_pending));
   if (queue_metrics) {
-    m.add("sim.queue.runs_created",
-          static_cast<std::int64_t>(r.telemetry.sim_runs_created));
-    m.add("sim.queue.run_merges",
-          static_cast<std::int64_t>(r.telemetry.sim_run_merges));
     m.add("sim.queue.tombstones_purged",
           static_cast<std::int64_t>(r.telemetry.sim_tombstones_purged));
-    m.observe("sim.queue.max_run_length",
-              static_cast<double>(r.telemetry.sim_max_run_length));
+    m.observe("sim.queue.max_entries",
+              static_cast<double>(r.telemetry.sim_max_entries));
   }
   if (fault_metrics) {
     // Gated like sim.queue.*: only fault-plan / reliable-link runs emit

@@ -64,9 +64,9 @@ struct QosSimulationConfig {
   /// compute windows identically); the knob exists for A/B benchmarking.
   bool shared_visibility = true;
 
-  /// Export the DES ready-queue telemetry (`sim.queue.*` counters:
-  /// run/merge/tombstone accounting) into `metrics`. Off by default: the
-  /// golden metrics files predate these keys.
+  /// Export the DES ready-queue telemetry (`sim.queue.*`: tombstones
+  /// purged, heap high-water) into `metrics`. Off by default: the golden
+  /// metrics files predate these keys.
   bool queue_metrics = false;
 
   /// Advance analytic-mode episodes through the SoA batch engine

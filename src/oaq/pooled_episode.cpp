@@ -133,10 +133,8 @@ const EpisodeResult& PooledEpisodeRunner::run_episode(
   result_buf_.telemetry.sim_events = sim_.processed_count();
   result_buf_.telemetry.sim_peak_pending = sim_.peak_pending_count();
   const QueueStats& qs = sim_.queue_stats();
-  result_buf_.telemetry.sim_runs_created = qs.runs_created;
-  result_buf_.telemetry.sim_run_merges = qs.run_merges;
   result_buf_.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-  result_buf_.telemetry.sim_max_run_length = qs.max_run_length;
+  result_buf_.telemetry.sim_max_entries = qs.max_entries;
 
   if (invariants != nullptr) {
     invariants->check_episode(e, result_buf_, cfg_);

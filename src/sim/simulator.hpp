@@ -8,16 +8,18 @@
 // slab with a free list and are addressed by dense slots; EventIds carry the
 // slot's generation tag, making cancel / is_pending O(1) without any
 // per-event map; callbacks are stored in a small-buffer-optimized
-// SmallFunction. The ready queue is a merge-run ("lazy") queue rather than a
-// comparison heap: schedule appends to an unsorted spill buffer, which is
-// sorted into a run only when its earliest entry must fire, and pops stream
-// from the sorted runs through a small tournament. Ordering is by a packed
-// 128-bit (time-bits, seq) key — sim times are nonnegative, so the IEEE
-// double bit pattern orders like an integer — which keeps event order
-// exactly (time, then scheduling order) and therefore bit-reproducible.
-// Cancelled events leave tombstones that pops skip and merges purge. All
-// buffers are recycled, so scheduling performs zero heap allocations once
-// the slab and run pool have grown to the episode's working set.
+// SmallFunction. The ready queue is a 4-ary min-heap of compact entries
+// ordered by a packed 128-bit (time-bits, seq) key — sim times are
+// nonnegative, so the IEEE double bit pattern orders like an integer —
+// which keeps event order exactly (time, then scheduling order) and
+// therefore bit-reproducible: keys are unique, so pops come out in key
+// order whatever the heap's internal layout. Cancelled events leave
+// tombstones (lazy deletion) that pops skip; once tombstones outnumber
+// the live entries (plus a small slack) the heap is compacted and
+// re-heapified, which is amortized O(1) per cancel and bounds it at
+// about twice the peak live set. All buffers are recycled, so
+// scheduling performs zero heap allocations once the slab and heap have
+// grown to the episode's working set.
 //
 // Episode tags (ISSUE 9): the kernel can multiplex several independent
 // episodes over one event timeline. A 16-bit tag occupies the high bits of
@@ -38,16 +40,14 @@
 
 namespace oaq {
 
-/// Maintenance counters of the merge-run ready queue, cumulative over the
-/// simulator's life. Pure functions of the event/cancel sequence — runs
-/// with the same seed report the same numbers — so the observability layer
-/// can export them next to the deterministic simulation metrics.
+/// Maintenance counters of the ready-queue heap, cumulative since
+/// construction or the last reset(). Pure functions of the event/cancel
+/// sequence — runs with the same seed report the same numbers — so the
+/// observability layer can export them next to the deterministic
+/// simulation metrics.
 struct QueueStats {
-  std::uint64_t runs_created = 0;  ///< sorted runs materialized from spills
-  std::uint64_t run_merges = 0;    ///< full k-way consolidations (run cap hit)
   std::uint64_t tombstones_purged = 0;  ///< cancelled entries dropped
-  std::uint64_t max_run_length = 0;     ///< largest run ever materialized
-  std::uint64_t spill_folds = 0;  ///< spills folded into the sole run in place
+  std::uint64_t max_entries = 0;  ///< heap high-water, tombstones included
 };
 
 /// Lifetime event accounting. Every event ever scheduled is exactly one of
@@ -113,7 +113,7 @@ class Simulator {
 
   /// Return the kernel to its just-constructed state — clock at the
   /// origin, sequence counter restarted, all counters zeroed — while
-  /// keeping the grown slab, free list, and run buffers, so the next
+  /// keeping the grown slab, free list, and heap storage, so the next
   /// episode in a batch schedules without allocating. The event order of a
   /// subsequent run is identical to a fresh simulator's: the ordering key
   /// is (time, restarted sequence) and never the recycled slot numbers.
@@ -125,7 +125,7 @@ class Simulator {
   /// High-water mark of the pending-event set over the simulator's life —
   /// the DES queue-depth gauge the observability layer reports.
   [[nodiscard]] std::size_t peak_pending_count() const { return peak_pending_; }
-  /// Ready-queue maintenance counters (run/merge/tombstone accounting).
+  /// Ready-queue maintenance counters (tombstones, heap high-water).
   [[nodiscard]] const QueueStats& queue_stats() const { return queue_stats_; }
   /// Scheduled/processed/cancelled/pending balance (see SimAccounting).
   [[nodiscard]] SimAccounting accounting() const {
@@ -189,12 +189,6 @@ class Simulator {
     }
   };
 
-  /// A sorted batch of queue entries consumed front to back.
-  struct Run {
-    std::vector<QueueEntry> entries;
-    std::size_t head = 0;
-  };
-
   /// Per-episode lane: virtual clock plus the event balance the episode
   /// would have accumulated in a dedicated simulator.
   struct LaneState {
@@ -225,16 +219,17 @@ class Simulator {
     return slab_[e.slot].gen == e.gen;
   }
 
-  /// Sort the spill buffer (minus tombstones) into a new run, merging the
-  /// existing runs first if the run limit is hit.
-  void flush_spill();
-  /// K-way merge of every run into one, purging tombstones.
-  void merge_runs();
-  /// Advance run heads past tombstones, retire exhausted runs, and flush
-  /// the spill when it holds the minimum. Returns the index of the run
-  /// whose head is the global minimum, or -1 when no live event remains.
-  int settle();
-  [[nodiscard]] std::vector<QueueEntry> take_buffer();
+  /// Restore the heap property upward from / downward into position `i`,
+  /// placing `e` there (hole-based, so each level costs one move).
+  void sift_up(std::size_t i, QueueEntry e);
+  void sift_down(std::size_t i, QueueEntry e);
+  /// Remove the heap's top entry.
+  void pop_top();
+  /// Drop tombstones from the top until a live entry surfaces. Returns
+  /// that entry, or null when no live event remains.
+  const QueueEntry* live_top();
+  /// Erase every tombstone and re-heapify (lazy-deletion cleanup).
+  void compact();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 1;
@@ -249,10 +244,7 @@ class Simulator {
   QueueStats queue_stats_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_;
-  std::vector<Run> runs_;
-  std::vector<QueueEntry> spill_;  ///< unsorted newly scheduled events
-  unsigned __int128 spill_min_ = 0;
-  std::vector<std::vector<QueueEntry>> buffer_pool_;  ///< recycled run storage
+  std::vector<QueueEntry> heap_;  ///< 4-ary min-heap by QueueEntry::key()
 };
 
 }  // namespace oaq

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -270,27 +271,38 @@ TEST(Simulator, PeakPendingTracksHighWaterMonotonically) {
   EXPECT_EQ(sim.peak_pending_count(), 9u);
 }
 
-TEST(Simulator, LongLivedSoleRunStaysCompact) {
-  // A simulator that alternates small out-of-order bursts with full drains
-  // keeps its sole run alive forever through the direct-append fast path —
-  // the run is never exhausted when settle() scans it, so only the fold
-  // path can reclaim popped entries. Without dead-prefix compaction the
-  // run buffer grew by every burst for the lifetime of the simulator;
-  // with it, the largest run ever materialized stays bounded by the live
-  // set, not the round count.
+TEST(Simulator, CancelHeavyChurnKeepsHeapBounded) {
+  // Cancelled events stay in the heap as tombstones until they surface or
+  // a compaction sweeps them. A long-lived simulator that arms many timers
+  // and cancels most of them before they fire — retry timers, wait
+  // deadlines — must not let tombstones pile up: the heap (tombstones
+  // included) stays within twice the peak live set plus the compaction
+  // slack, however many rounds run.
   Simulator sim;
+  Rng rng(4242);
+  std::vector<EventId> armed;
+  std::size_t peak_live = 0;
   int fired = 0;
-  for (int round = 0; round < 4000; ++round) {
-    // Descending offsets force the later events below the appended head,
-    // so every burst exercises the spill-fold path on the live sole run.
-    sim.schedule_after(Duration::minutes(8.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(4.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(2.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(1.0), [&] { ++fired; });
-    sim.run();
+  for (int round = 0; round < 3000; ++round) {
+    const int burst = 1 + static_cast<int>(rng.uniform_index(40));
+    for (int i = 0; i < burst; ++i) {
+      armed.push_back(sim.schedule_after(
+          Duration::seconds(1.0 + rng.uniform(0.0, 600.0)), [&] { ++fired; }));
+      peak_live = std::max(peak_live, sim.pending_count());
+    }
+    // Cancel ~90% of what is armed (stale ids of fired events included).
+    for (const EventId id : armed) {
+      if (rng.bernoulli(0.9)) sim.cancel(id);
+    }
+    armed.clear();
+    sim.run_until(sim.now() + Duration::seconds(rng.uniform(0.0, 2.0)));
+    ASSERT_LE(sim.queue_stats().max_entries, 2 * peak_live + 64)
+        << "round " << round;
   }
-  EXPECT_EQ(fired, 4 * 4000);
-  EXPECT_LT(sim.queue_stats().max_run_length, 512u);
+  sim.run();
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(sim.queue_stats().tombstones_purged, 0u);
+  EXPECT_LE(sim.queue_stats().max_entries, 2 * peak_live + 64);
 }
 
 TEST(Simulator, IdsStayDistinctAcrossHeavyChurn) {
@@ -390,11 +402,8 @@ TEST(Simulator, ResetEquivalentToFreshAcrossRandomizedCycles) {
 
     const QueueStats& fs = fresh.queue_stats();
     const QueueStats& rs = reused.queue_stats();
-    EXPECT_EQ(rs.runs_created, fs.runs_created) << "cycle " << cycle;
-    EXPECT_EQ(rs.run_merges, fs.run_merges) << "cycle " << cycle;
     EXPECT_EQ(rs.tombstones_purged, fs.tombstones_purged) << "cycle " << cycle;
-    EXPECT_EQ(rs.spill_folds, fs.spill_folds) << "cycle " << cycle;
-    EXPECT_EQ(rs.max_run_length, fs.max_run_length) << "cycle " << cycle;
+    EXPECT_EQ(rs.max_entries, fs.max_entries) << "cycle " << cycle;
 
     const SimAccounting fa = fresh.accounting();
     const SimAccounting ra = reused.accounting();
@@ -537,6 +546,264 @@ TEST(Simulator, TagZeroSequencesMatchUntaggedKernel) {
   tagged.run();
   plain.run();
   EXPECT_EQ(order_tagged, order_plain);
+}
+
+// --- Ready-queue oracle property. The kernel's heap must fire exactly what
+// a naive model fires: a flat list of pending events, searched linearly
+// for the smallest (time, episode tag, scheduling order). ---
+
+/// The naive reference kernel. Ids are the ones the real kernel issued —
+/// opaque handles here, never used for ordering.
+class OracleKernel {
+ public:
+  struct Pending {
+    double at = 0.0;
+    std::uint16_t tag = 0;
+    std::uint64_t order = 0;
+    int label = 0;
+    EventId id;
+  };
+
+  void schedule(double at, int label, EventId id) {
+    pending_.push_back({at, tag_, order_++, label, id});
+    ++scheduled_;
+  }
+  bool cancel(EventId id) {
+    const auto it = std::find_if(pending_.begin(), pending_.end(),
+                                 [id](const Pending& p) { return p.id == id; });
+    if (it == pending_.end()) return false;
+    pending_.erase(it);
+    ++cancelled_;
+    return true;
+  }
+  /// Remove and return the next event to fire; advances clock and tag.
+  Pending pop() {
+    const auto it = std::min_element(
+        pending_.begin(), pending_.end(),
+        [](const Pending& a, const Pending& b) {
+          if (a.at != b.at) return a.at < b.at;
+          if (a.tag != b.tag) return a.tag < b.tag;
+          return a.order < b.order;
+        });
+    const Pending p = *it;
+    pending_.erase(it);
+    now_ = p.at;
+    tag_ = p.tag;
+    ++processed_;
+    return p;
+  }
+  [[nodiscard]] bool has_due(double until) const {
+    return std::any_of(pending_.begin(), pending_.end(),
+                       [until](const Pending& p) { return p.at <= until; });
+  }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  void set_tag(std::uint16_t tag) { tag_ = tag; }
+  void advance_to(double t) { now_ = t; }
+  void reset() { *this = OracleKernel{}; }
+  [[nodiscard]] double now() const { return now_; }
+  [[nodiscard]] SimAccounting accounting() const {
+    return {scheduled_, processed_, cancelled_, pending_.size()};
+  }
+
+ private:
+  std::vector<Pending> pending_;
+  double now_ = 0.0;
+  std::uint16_t tag_ = 0;
+  std::uint64_t order_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t processed_ = 0;
+  std::uint64_t cancelled_ = 0;
+};
+
+/// Drives one Simulator and one OracleKernel through the same operation
+/// stream. Every fired event runs a label-determined reaction — schedule
+/// a same-time or near-future child, cancel the newest id (live or
+/// already fired) — on whichever kernel fired it, so callbacks exercise
+/// the queue from inside a pop as well.
+class OracleHarness {
+ public:
+  void schedule_at(double at) {
+    const int label = next_label_++;
+    const EventId id = sim_.schedule_at(TimePoint::at(Duration::seconds(at)),
+                                        [this, label] { react(label); });
+    oracle_.schedule(at, label, id);
+    ids_.push_back(id);
+  }
+  void schedule_after(double delay) {
+    // schedule_after adds to now() in TimePoint arithmetic; the oracle
+    // mirrors it with the kernel's own clock so both see the same time.
+    const int label = next_label_++;
+    const EventId id = sim_.schedule_after(Duration::seconds(delay),
+                                           [this, label] { react(label); });
+    oracle_.schedule(
+        (sim_.now() + Duration::seconds(delay)).since_origin().to_seconds(),
+        label, id);
+    ids_.push_back(id);
+  }
+  void cancel(std::size_t pick) {
+    if (ids_.empty()) return;
+    const EventId id = ids_[pick % ids_.size()];
+    const bool expected = oracle_.cancel(id);
+    ASSERT_EQ(sim_.cancel(id), expected);
+  }
+  /// Cancel most of the newest `n` ids — mostly still pending, so the
+  /// tombstones pile up past the compaction threshold.
+  void cancel_recent(std::size_t n, std::uint64_t mask) {
+    for (std::size_t k = 0; k < n && k < ids_.size(); ++k) {
+      if ((mask >> (k % 64)) & 1u) cancel(ids_.size() - 1 - k);
+    }
+  }
+  void set_tag(std::uint16_t tag) {
+    sim_.set_episode_tag(tag);
+    oracle_.set_tag(tag);
+  }
+  void run_until(double t) {
+    sim_.run_until(TimePoint::at(Duration::seconds(t)));
+    while (oracle_.has_due(t)) fire_oracle();
+    oracle_.advance_to(t);
+  }
+  void step() {
+    const bool fired = sim_.step();
+    ASSERT_EQ(fired, !oracle_.empty());
+    if (fired) fire_oracle();
+  }
+  void drain_and_reset() {
+    sim_.run();
+    while (!oracle_.empty()) fire_oracle();
+    compare();
+    sim_.reset();
+    oracle_.reset();
+    ids_.clear();
+  }
+  void compare() {
+    ASSERT_EQ(sim_fired_, oracle_fired_);
+    ASSERT_EQ(sim_.now().since_origin().to_seconds(), oracle_.now());
+    const SimAccounting a = sim_.accounting();
+    const SimAccounting b = oracle_.accounting();
+    ASSERT_EQ(a.scheduled, b.scheduled);
+    ASSERT_EQ(a.processed, b.processed);
+    ASSERT_EQ(a.cancelled, b.cancelled);
+    ASSERT_EQ(a.pending, b.pending);
+    ASSERT_EQ(sim_.pending_count(), b.pending);
+  }
+  [[nodiscard]] double now() const {
+    return sim_.now().since_origin().to_seconds();
+  }
+  [[nodiscard]] std::size_t fired() const { return sim_fired_.size(); }
+
+ private:
+  struct Fired {
+    int label;
+    double at;
+    friend bool operator==(const Fired&, const Fired&) = default;
+  };
+
+  /// What one fired callback did to the simulator, recorded so the oracle
+  /// can replay exactly the same reaction when it fires that label.
+  struct Reaction {
+    bool fired = false;
+    bool has_child = false;
+    int child = 0;
+    double child_at = 0.0;
+    EventId child_id;
+    bool has_cancel = false;
+    EventId cancelled;
+    bool cancel_result = false;
+  };
+
+  /// Simulator side of a fire: log it, then schedule a child (a same-time
+  /// tie for a third of the children) and/or cancel the newest id.
+  void react(int label) {
+    sim_fired_.push_back({label, now()});
+    Reaction& r = reaction(label);
+    r.fired = true;
+    if (label % 3 == 0) {
+      const Duration delay =
+          Duration::seconds(0.25 * static_cast<double>((label / 3) % 3));
+      r.has_child = true;
+      r.child = next_label_++;
+      r.child_at = (sim_.now() + delay).since_origin().to_seconds();
+      r.child_id = sim_.schedule_after(
+          delay, [this, child = r.child] { react(child); });
+      ids_.push_back(r.child_id);
+    }
+    if (label % 5 == 0 && !ids_.empty()) {
+      // `r` may dangle once reaction() grows the table; re-fetch it.
+      Reaction& rr = reaction(label);
+      rr.has_cancel = true;
+      rr.cancelled = ids_.back();
+      rr.cancel_result = sim_.cancel(ids_.back());
+    }
+  }
+
+  /// Oracle side of a fire: pop the model's minimum and replay the
+  /// reaction the simulator recorded for that label.
+  void fire_oracle() {
+    const OracleKernel::Pending p = oracle_.pop();
+    oracle_fired_.push_back({p.label, p.at});
+    const Reaction r = reaction(p.label);
+    if (!r.fired) return;  // divergence; the fired logs will disagree
+    if (r.has_child) oracle_.schedule(r.child_at, r.child, r.child_id);
+    if (r.has_cancel) {
+      EXPECT_EQ(oracle_.cancel(r.cancelled), r.cancel_result)
+          << "label " << p.label;
+    }
+  }
+
+  Reaction& reaction(int label) {
+    const auto i = static_cast<std::size_t>(label);
+    if (i >= reactions_.size()) reactions_.resize(i + 1);
+    return reactions_[i];
+  }
+
+  Simulator sim_;
+  OracleKernel oracle_;
+  std::vector<EventId> ids_;
+  std::vector<Fired> sim_fired_;
+  std::vector<Fired> oracle_fired_;
+  std::vector<Reaction> reactions_;
+  int next_label_ = 0;
+};
+
+TEST(Simulator, HeapMatchesSortedListOracleUnderRandomOperations) {
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng = Rng(5150).fork(seed);
+    OracleHarness h;
+    for (int op = 0; op < 1500; ++op) {
+      // Times on a coarse 0.25 s grid: many exact ties.
+      const double offset = 0.25 * static_cast<double>(rng.uniform_index(12));
+      const std::uint64_t kind = rng.uniform_index(100);
+      if (kind < 30) {
+        h.schedule_at(h.now() + offset);
+      } else if (kind < 45) {
+        h.schedule_after(offset);
+      } else if (kind < 50) {
+        // A burst at one timestamp, so compaction sees deep queues.
+        const int n = 20 + static_cast<int>(rng.uniform_index(80));
+        for (int i = 0; i < n; ++i) h.schedule_at(h.now() + offset);
+      } else if (kind < 68) {
+        h.cancel(static_cast<std::size_t>(rng.uniform_index(1u << 20)));
+      } else if (kind < 72) {
+        h.cancel_recent(40 + rng.uniform_index(120),
+                        rng.next_u64() | rng.next_u64());
+      } else if (kind < 80) {
+        h.set_tag(static_cast<std::uint16_t>(rng.uniform_index(4)));
+      } else if (kind < 90) {
+        h.run_until(h.now() + offset);
+      } else if (kind < 99) {
+        h.step();
+      } else {
+        h.drain_and_reset();
+      }
+      if (HasFatalFailure()) return;
+      h.compare();
+      if (HasFatalFailure()) return;
+    }
+    h.drain_and_reset();
+    if (HasFatalFailure()) return;
+    EXPECT_GT(h.fired(), 0u);
+  }
 }
 
 }  // namespace

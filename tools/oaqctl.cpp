@@ -835,6 +835,18 @@ std::optional<double> find_metric_number(const std::string& text,
   return std::stod(text.substr(pos + needle.size()));
 }
 
+/// `max` of the sim.queue.max_entries stat — the ready-queue heap's
+/// high-water — or 0 when absent. Metrics files written before the heap
+/// queue carry the retired merge-run keys (runs_created, run_merges,
+/// max_run_length) instead; readers ignore those.
+double max_queue_entries(const MiniJson& metrics) {
+  const MiniJson* stats = metrics.find("stats");
+  const MiniJson* stat =
+      stats != nullptr ? stats->find("sim.queue.max_entries") : nullptr;
+  const MiniJson* max = stat != nullptr ? stat->find("max") : nullptr;
+  return max != nullptr ? max->number : 0.0;
+}
+
 /// Print the DES ready-queue telemetry recorded in a --metrics JSON file
 /// (sim.queue.* keys; simulate and campaign export them).
 int print_queue_telemetry(const std::string& metrics_path) {
@@ -845,22 +857,11 @@ int print_queue_telemetry(const std::string& metrics_path) {
   }
   const std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
-  const auto runs = find_metric_number(text, "sim.queue.runs_created");
-  const auto merges = find_metric_number(text, "sim.queue.run_merges");
   const auto purged = find_metric_number(text, "sim.queue.tombstones_purged");
   const auto events = find_metric_number(text, "sim.events");
-  if (!runs || !merges || !purged) {
+  if (!purged) {
     std::cout << "no sim.queue.* metrics in " << metrics_path << "\n";
     return 0;
-  }
-  // The stat value is an object; its "max" field follows the key.
-  double max_run = 0.0;
-  const auto stat_pos = text.find("\"sim.queue.max_run_length\":");
-  if (stat_pos != std::string::npos) {
-    const auto max_pos = text.find("\"max\":", stat_pos);
-    if (max_pos != std::string::npos) {
-      max_run = std::stod(text.substr(max_pos + 6));
-    }
   }
   // Share of ready-queue entries that died as tombstones instead of
   // firing: purged / (purged + processed events).
@@ -868,15 +869,13 @@ int print_queue_telemetry(const std::string& metrics_path) {
   const double ratio =
       *purged + fired > 0.0 ? *purged / (*purged + fired) : 0.0;
   TablePrinter table({"ready-queue metric", "value"}, 4);
-  table.add_row({std::string("runs created"),
-                 static_cast<long long>(*runs)});
-  table.add_row({std::string("run merges"),
-                 static_cast<long long>(*merges)});
   table.add_row({std::string("tombstones purged"),
                  static_cast<long long>(*purged)});
   table.add_row({std::string("tombstone purge ratio"), ratio});
-  table.add_row({std::string("max run length"),
-                 static_cast<long long>(max_run)});
+  const std::optional<MiniJson> json = MiniJson::parse(text);
+  table.add_row({std::string("max heap entries"),
+                 static_cast<long long>(json ? max_queue_entries(*json)
+                                             : 0.0)});
   std::cout << "DES ready-queue telemetry (" << metrics_path << "):\n";
   table.print(std::cout);
   return 0;
@@ -1238,14 +1237,12 @@ int cmd_report(const Args& args) {
       return v != nullptr ? static_cast<long long>(v->number) : 0;
     };
     if (counters != nullptr &&
-        counters->find("sim.queue.runs_created") != nullptr) {
+        counters->find("sim.queue.tombstones_purged") != nullptr) {
       TablePrinter table({"ready-queue metric", "value"}, 0);
-      table.add_row({std::string("runs created"),
-                     counter("sim.queue.runs_created")});
-      table.add_row({std::string("run merges"),
-                     counter("sim.queue.run_merges")});
       table.add_row({std::string("tombstones purged"),
                      counter("sim.queue.tombstones_purged")});
+      table.add_row({std::string("max heap entries"),
+                     static_cast<long long>(max_queue_entries(*metrics))});
       table.add_row({std::string("sim events"), counter("sim.events")});
       table.print(std::cout);
     }
@@ -1353,18 +1350,17 @@ int cmd_report(const Args& args) {
     os << "],\"queue\":";
     const MiniJson* counters =
         metrics && metrics->is_object() ? metrics->find("counters") : nullptr;
-    if (counters != nullptr &&
-        counters->find("sim.queue.runs_created") != nullptr) {
-      os << "{";
-      bool first_counter = true;
-      for (const auto& [key, value] : counters->object) {
-        if (key.rfind("sim.queue.", 0) != 0 && key != "sim.events") continue;
-        os << (first_counter ? "" : ",");
-        write_json_string(os, key);
-        os << ":";
-        write_json_double(os, value.number);
-        first_counter = false;
-      }
+    const MiniJson* purged =
+        counters != nullptr ? counters->find("sim.queue.tombstones_purged")
+                            : nullptr;
+    if (purged != nullptr) {
+      const MiniJson* events = counters->find("sim.events");
+      os << "{\"sim.queue.tombstones_purged\":";
+      write_json_double(os, purged->number);
+      os << ",\"sim.queue.max_entries\":";
+      write_json_double(os, max_queue_entries(*metrics));
+      os << ",\"sim.events\":";
+      write_json_double(os, events != nullptr ? events->number : 0.0);
       os << "}";
     } else {
       os << "null";
