@@ -13,10 +13,9 @@
 // arm() time, before any protocol event fires, and consumes only the
 // reserved fault fork. Protocol draws therefore see exactly the streams
 // they would with a scripted plan, and the expanded clause list is a
-// pure function of (plan, rng) — the same at any --jobs or
-// --interleave-width. Each clause expands from its own sub-fork
-// (rng.fork(i + 1)), so clause order in the plan never couples the
-// per-clause sample paths.
+// pure function of (plan, rng) — the same at any --jobs. Each clause
+// expands from its own sub-fork (rng.fork(i + 1)), so clause order in the
+// plan never couples the per-clause sample paths.
 //
 // The expander owns one reusable FaultPlan: after warm-up, expansion
 // performs zero steady-state allocations (gated by bench/chaos_soak).

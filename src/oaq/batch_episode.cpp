@@ -70,7 +70,7 @@ bool analytic_signal_detected(const PlaneGeometry& geometry, int k,
   return false;
 }
 
-BatchEpisodeEngine::LaneContext::LaneContext(
+BatchEpisodeEngine::DesContext::DesContext(
     Simulator& sim, const PlaneGeometry& geometry, int k,
     const ProtocolConfig& cfg, bool opportunity_adaptive,
     const std::set<SatelliteId>& known_failed, bool want_drop_handler)
@@ -109,8 +109,7 @@ BatchEpisodeEngine::BatchEpisodeEngine(PlaneGeometry geometry, int k,
                                        bool opportunity_adaptive,
                                        const DurationDistribution& duration_law,
                                        Rng episode_rng, TimePoint signal_start,
-                                       const FaultPlan* plan,
-                                       int interleave_width)
+                                       const FaultPlan* plan, int)
     : geometry_(geometry),
       k_(k),
       cfg_(cfg),
@@ -119,23 +118,10 @@ BatchEpisodeEngine::BatchEpisodeEngine(PlaneGeometry geometry, int k,
       episode_rng_(episode_rng),
       signal_start_(signal_start),
       plan_(plan != nullptr && !plan->empty() ? plan : nullptr),
-      width_(interleave_width == 0 ? kEpisodeBatchWidth : interleave_width) {
+      ctx_(sim_, geometry_, k_, cfg_, oaq_, no_known_failed_,
+           cfg_.reliable_links || cfg_.self_healing_links || plan_ != nullptr) {
   OAQ_REQUIRE(k > 0, "need at least one satellite");
   OAQ_REQUIRE(cfg.tau > Duration::zero(), "deadline must be positive");
-  OAQ_REQUIRE(interleave_width >= 0 && interleave_width <= kEpisodeBatchWidth,
-              "interleave width must be in [0, kEpisodeBatchWidth]");
-  sim_.reserve_episode_tags(static_cast<std::size_t>(width_));
-  const bool want_drop =
-      cfg_.reliable_links || cfg_.self_healing_links || plan_ != nullptr;
-  contexts_.reserve(static_cast<std::size_t>(width_));
-  for (int j = 0; j < width_; ++j) {
-    contexts_.push_back(std::make_unique<LaneContext>(
-        sim_, geometry_, k_, cfg_, oaq_, no_known_failed_, want_drop));
-  }
-  block_staging_.reserve(kEpisodeBatchWidth);
-  for (int i = 0; i < kEpisodeBatchWidth; ++i) {
-    block_staging_.emplace_back(ShardTraceBuffer::kUnbounded);
-  }
 }
 
 bool BatchEpisodeEngine::lane_detects(Duration phase, Duration duration) const {
@@ -153,7 +139,7 @@ void BatchEpisodeEngine::run_des_lane(std::int64_t e, Duration phase,
   // draws from its 0x666c74 fork. fork() is const, so the derivation
   // order is irrelevant — only the draw order during the run matters,
   // and that is the (identical) DES event order.
-  LaneContext& ctx = *contexts_[0];
+  DesContext& ctx = ctx_;
   const Rng ep = episode_rng_.fork(static_cast<std::uint64_t>(e));
   ctx.protocol_rng = ep.fork(3);
   sim_.reset();
@@ -221,137 +207,6 @@ void BatchEpisodeEngine::run_des_lane(std::int64_t e, Duration phase,
   sink(e, result_buf_);
 }
 
-void BatchEpisodeEngine::run_block_interleaved(std::int64_t b, int n,
-                                               ShardTraceBuffer* trace,
-                                               InvariantChecker* invariants,
-                                               const ResultSink& sink) {
-  int armed_idx[kEpisodeBatchWidth];
-  int armed_n = 0;
-  for (int i = 0; i < n; ++i) {
-    lane_fate_[i] = LaneFate::kEscaped;
-    if (lane_armed_[i]) armed_idx[armed_n++] = i;
-  }
-  for (int g0 = 0; g0 < armed_n; g0 += width_) {
-    const int gn = std::min(width_, armed_n - g0);
-    sim_.reset();
-    // Arm every lane of the group at the clock origin — exactly where the
-    // scalar path arms each episode (no event has fired yet, so now() is
-    // the origin for all of them). Group slot j is the lane's episode tag:
-    // everything its cascade schedules inherits it.
-    for (int j = 0; j < gn; ++j) {
-      const int i = armed_idx[g0 + j];
-      const std::int64_t e = b + i;
-      LaneContext& ctx = *contexts_[static_cast<std::size_t>(j)];
-      ShardTraceBuffer* lane_trace =
-          trace != nullptr ? &block_staging_[static_cast<std::size_t>(i)]
-                           : nullptr;
-      const Rng ep = episode_rng_.fork(static_cast<std::uint64_t>(e));
-      ctx.protocol_rng = ep.fork(3);
-      sim_.set_episode_tag(static_cast<std::uint16_t>(j));
-      ctx.net.reset(ctx.protocol_rng.fork(0x6e6574));
-      ctx.net.set_trace(lane_trace, e);
-      ctx.net.set_ledger(ledger_);
-      ctx.schedule = AnalyticSchedule(geometry_, k_, lane_phase_[i]);
-      ctx.episode.reset_for(static_cast<int>(e), ctx.protocol_rng, lane_trace);
-      ctx.injector.reset();
-      if (!ctx.episode.arm(signal_start_, lane_duration_[i])) {
-        // Classifier false positive: arm() scheduled nothing (the width-1
-        // path relies on the same fact — reset() right after would throw
-        // otherwise), so the group timeline is untouched. Snapshot the
-        // scalar's default result now, before the context is reused.
-        block_result_[static_cast<std::size_t>(i)] = ctx.episode.result();
-        lane_fate_[i] = LaneFate::kRejected;
-        continue;
-      }
-      lane_fate_[i] = LaneFate::kDrained;
-      if (plan_ != nullptr) {
-        ctx.injector.emplace(sim_, ctx.net, *plan_,
-                             ctx.protocol_rng.fork(0x666c74), lane_trace, e,
-                             ledger_, &ctx.expander);
-        ctx.injector->arm(signal_start_);
-      }
-    }
-    // One merged timeline: the kernel pops (time, tag, seq), so each lane
-    // observes exactly its dedicated-simulator event order. The safety
-    // valve scales with the group so no lane's budget shrinks.
-    sim_.run(200000ull * static_cast<std::uint64_t>(gn));
-    // Find the group's last drained lane: the merged queue's maintenance
-    // counters are a property of the whole group timeline, so the group
-    // total is attributed to that lane (zeros elsewhere) — a deterministic
-    // rule that keeps shard sums exact (DESIGN.md §15).
-    int last_drained = -1;
-    for (int j = 0; j < gn; ++j) {
-      if (lane_fate_[armed_idx[g0 + j]] == LaneFate::kDrained) last_drained = j;
-    }
-    // Retire the group before the next group resets the simulator (the
-    // reset clears per-tag accounting): finalize, snapshot result +
-    // telemetry, audit. Group slots ascend in episode order, so invariant
-    // violations are still recorded in increasing episode order.
-    for (int j = 0; j < gn; ++j) {
-      const int i = armed_idx[g0 + j];
-      if (lane_fate_[i] != LaneFate::kDrained) continue;
-      const std::int64_t e = b + i;
-      LaneContext& ctx = *contexts_[static_cast<std::size_t>(j)];
-      ctx.episode.finalize();
-      EpisodeResult& out = block_result_[static_cast<std::size_t>(i)];
-      out = ctx.episode.result();
-      const NetworkStats& net_stats = ctx.net.stats();
-      out.telemetry.messages_sent = net_stats.sent;
-      out.telemetry.messages_delivered = net_stats.delivered;
-      out.telemetry.messages_dropped_loss = net_stats.dropped_loss;
-      out.telemetry.messages_dropped_dead =
-          net_stats.dropped_dead_sender + net_stats.dropped_dead_receiver +
-          net_stats.dropped_unregistered;
-      out.telemetry.messages_dropped_link = net_stats.dropped_link;
-      out.telemetry.retries = net_stats.retries;
-      out.telemetry.retries_exhausted = net_stats.retries_exhausted;
-      out.telemetry.links_demoted = net_stats.links_demoted;
-      out.telemetry.links_restored = net_stats.links_restored;
-      out.telemetry.links_demoted_end =
-          static_cast<std::uint64_t>(ctx.net.demoted_link_count());
-      out.telemetry.link_probes = net_stats.link_probes;
-      out.telemetry.link_probations = net_stats.link_probations;
-      out.telemetry.degradation_active_end =
-          ctx.net.degradation_active() ? 1 : 0;
-      if (ctx.injector) {
-        out.telemetry.faults_injected = ctx.injector->stats().activations;
-        out.telemetry.lifecycle_deaths = ctx.injector->stats().lifecycle_deaths;
-        out.telemetry.lifecycle_spares = ctx.injector->stats().lifecycle_spares;
-      }
-      const SimAccounting acct =
-          sim_.episode_accounting(static_cast<std::uint16_t>(j));
-      out.telemetry.sim_events = acct.processed;
-      out.telemetry.sim_peak_pending =
-          sim_.episode_peak_pending(static_cast<std::uint16_t>(j));
-      if (j == last_drained) {
-        const QueueStats& qs = sim_.queue_stats();
-        out.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-        out.telemetry.sim_max_entries = qs.max_entries;
-      } else {
-        out.telemetry.sim_tombstones_purged = 0;
-        out.telemetry.sim_max_entries = 0;
-      }
-      if (invariants != nullptr) {
-        invariants->check_episode(e, out, cfg_);
-        invariants->check_simulator(e, acct);
-      }
-    }
-  }
-  // Block retirement in strict episode order: each lane's staged trace
-  // events replay into the shard ring, then its result sinks — the same
-  // per-stream byte sequences the sequential drain produces.
-  for (int i = 0; i < n; ++i) {
-    const std::int64_t e = b + i;
-    if (trace != nullptr) {
-      ShardTraceBuffer& staged = block_staging_[static_cast<std::size_t>(i)];
-      if (staged.recorded() != 0) staged.drain_into(*trace);
-    }
-    sink(e, lane_fate_[i] == LaneFate::kEscaped
-                ? escaped_result_
-                : block_result_[static_cast<std::size_t>(i)]);
-  }
-}
-
 void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
                              ShardTraceBuffer* trace,
                              InvariantChecker* invariants,
@@ -396,25 +251,18 @@ void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
     stats_.des_lanes += static_cast<std::uint64_t>(armed);
     stats_.escaped += static_cast<std::uint64_t>(n - armed);
     if (n == kEpisodeBatchWidth) ++stats_.occupancy[armed];
-    // Retirement in episode order. Width 1 is the sequential drain:
-    // escaped lanes compact out immediately (the scalar's failed-arm
-    // result is the default), armed lanes drain one at a time through
-    // context 0. Wider engines multiplex the armed lanes over one merged
-    // timeline and resequence every output stream at block end — either
-    // way the trace stream and observation order are identical to the
-    // scalar loop.
-    if (width_ == 1) {
-      for (int i = 0; i < n; ++i) {
-        const std::int64_t e = b + i;
-        if (!lane_armed_[i]) {
-          sink(e, escaped_result_);
-        } else {
-          run_des_lane(e, lane_phase_[i], lane_duration_[i], trace,
-                       invariants, sink);
-        }
+    // Retirement in episode order: escaped lanes compact out immediately
+    // (the scalar's failed-arm result is the default), armed lanes drain
+    // one at a time through the shared context — so the trace stream and
+    // observation order are identical to the scalar loop.
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t e = b + i;
+      if (!lane_armed_[i]) {
+        sink(e, escaped_result_);
+      } else {
+        run_des_lane(e, lane_phase_[i], lane_duration_[i], trace, invariants,
+                     sink);
       }
-    } else {
-      run_block_interleaved(b, n, trace, invariants, sink);
     }
     if (spans != nullptr) {
       const auto t_end = std::chrono::steady_clock::now();

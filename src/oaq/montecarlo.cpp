@@ -128,10 +128,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   OAQ_REQUIRE(config.k > 0, "need at least one satellite");
   OAQ_REQUIRE(config.episodes > 0, "need at least one episode");
   OAQ_REQUIRE(config.mu > Rate::zero(), "termination rate must be positive");
-  OAQ_REQUIRE(
-      config.interleave_width >= 0 &&
-          config.interleave_width <= kEpisodeBatchWidth,
-      "interleave width must be 0 (block width) or in [1, block width]");
 
   const Rng master(config.seed);
   const Rng episode_rng = master.fork(3);
@@ -292,8 +288,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                                     config.protocol,
                                     config.opportunity_adaptive,
                                     *duration_law, episode_rng, signal_start,
-                                    config.fault_plan,
-                                    config.interleave_width);
+                                    config.fault_plan);
           engine.run(begin, end, trace,
                      config.check_invariants ? &acc.invariants : nullptr,
                      [&](std::int64_t, const EpisodeResult& r) {

@@ -77,12 +77,7 @@ struct QosSimulationConfig {
   /// as the oracle and still serves geometric mode (which has no
   /// closed-form escape test).
   bool batch_episodes = true;
-  /// Armed lanes multiplexed over one episode-tagged event timeline per
-  /// batch-engine group (DESIGN.md §15). 0 = the block width
-  /// (kEpisodeBatchWidth, the default), 1 = the sequential drain
-  /// (reset → drain one lane → reset), other values must lie in
-  /// [1, kEpisodeBatchWidth]. Output bytes are identical at every width.
-  /// Ignored unless `batch_episodes` applies.
+  /// Unread; kept only so existing callers that set it still compile.
   int interleave_width = 0;
   /// Export the batch engine's `sim.batch.*` occupancy counters into
   /// `metrics`. Off by default, like queue_metrics: the golden metrics
@@ -137,7 +132,7 @@ struct QosSimulationConfig {
   /// (the pooled geometric arena does not attribute; disable
   /// `pooled_episodes` to collect rows in geometric mode). Rows are
   /// additive counters folded shard-wise in shard order, so the ledger
-  /// bytes are identical for any jobs value and any interleave width.
+  /// bytes are identical for any jobs value.
   EpisodeLedger* ledger = nullptr;
 };
 

@@ -72,9 +72,13 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
         } else if (m_prev > 0.0 && m_next <= 0.0) {
           const double pass_end = find_root(margin, t, t_next, tol.to_seconds());
           OAQ_ENSURE(pass_start >= 0.0, "pass end without start");
-          result.push_back({SatelliteId{pi, slot},
-                            Duration::seconds(pass_start),
-                            Duration::seconds(pass_end)});
+          // A grazing pass can refine to an empty interval (start == end):
+          // it covers no instant, so it is not a pass at all.
+          if (pass_end > pass_start) {
+            result.push_back({SatelliteId{pi, slot},
+                              Duration::seconds(pass_start),
+                              Duration::seconds(pass_end)});
+          }
           pass_start = -1.0;
         }
         m_prev = m_next;

@@ -20,10 +20,6 @@ constexpr std::size_t kArity = 4;
 /// amortized O(1) per cancel.
 constexpr std::size_t kCompactSlack = 64;
 
-/// Scheduling-order counter budget under the 16-bit episode tag. A run
-/// between resets would need 2^48 schedules to exhaust it.
-constexpr std::uint64_t kSeqLimit = 1ull << 48;
-
 /// Time bits for the ordering key. Sim times are nonnegative (schedule_at
 /// requires t >= now and the clock starts at the origin), so the IEEE bit
 /// pattern compares like an unsigned integer; +0.0 normalizes a possible
@@ -117,24 +113,20 @@ EventId Simulator::schedule_at(TimePoint t, Callback cb) {
     // drain) allocation-free.
     free_.reserve(slab_.capacity());
   }
-  OAQ_REQUIRE(next_seq_ < kSeqLimit, "scheduling-order counter exhausted");
+  OAQ_REQUIRE(next_seq_ != UINT64_MAX, "scheduling-order counter exhausted");
   Event& ev = slab_[slot];
   ev.at = t;
-  ev.seq = tag_bits_ | next_seq_++;
   ev.callback = std::move(cb);
   ++ev.gen;  // arm: generation becomes odd
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, QueueEntry{time_bits(t), ev.seq, slot, ev.gen});
+  sift_up(heap_.size() - 1,
+          QueueEntry{time_bits(t), next_seq_++, slot, ev.gen});
   if (heap_.size() > queue_stats_.max_entries) {
     queue_stats_.max_entries = heap_.size();
   }
   ++scheduled_;
   ++live_;
   if (live_ > peak_pending_) peak_pending_ = live_;
-  LaneState& lane = lanes_[current_tag_];
-  ++lane.scheduled;
-  ++lane.live;
-  if (lane.live > lane.peak) lane.peak = lane.live;
   return pack(slot, ev.gen);
 }
 
@@ -153,9 +145,6 @@ bool Simulator::cancel(EventId id) {
   free_.push_back(slot);
   ++cancelled_;
   --live_;
-  LaneState& lane = lanes_[tag_of_seq(ev.seq)];
-  ++lane.cancelled;
-  --lane.live;
   if (heap_.size() > 2 * live_ + kCompactSlack) compact();
   return true;
 }
@@ -179,14 +168,6 @@ bool Simulator::step() {
   --live_;
   now_ = ev.at;
   ++processed_;
-  // The callback runs in the firing event's lane: its virtual clock
-  // advances and anything it schedules or cancels inherits the tag.
-  current_tag_ = tag_of_seq(top.seq);
-  tag_bits_ = top.seq & (0xFFFFull << 48);
-  LaneState& lane = lanes_[current_tag_];
-  lane.now = ev.at;
-  ++lane.processed;
-  --lane.live;
   cb();  // may grow the slab; `ev` must not be touched past this point
   return true;
 }
@@ -213,31 +194,6 @@ void Simulator::reserve(std::size_t events) {
   heap_.reserve(events);
 }
 
-void Simulator::set_episode_tag(std::uint16_t tag) {
-  current_tag_ = tag;
-  tag_bits_ = static_cast<std::uint64_t>(tag) << 48;
-  if (tag >= lanes_.size()) lanes_.resize(tag + 1);
-}
-
-void Simulator::reserve_episode_tags(std::size_t n) {
-  if (n > lanes_.size()) lanes_.resize(n);
-}
-
-SimAccounting Simulator::episode_accounting(std::uint16_t tag) const {
-  if (tag >= lanes_.size()) return {};
-  const LaneState& lane = lanes_[tag];
-  return {lane.scheduled, lane.processed, lane.cancelled,
-          static_cast<std::uint64_t>(lane.live)};
-}
-
-std::size_t Simulator::episode_peak_pending(std::uint16_t tag) const {
-  return tag < lanes_.size() ? lanes_[tag].peak : 0;
-}
-
-TimePoint Simulator::episode_now(std::uint16_t tag) const {
-  return tag < lanes_.size() ? lanes_[tag].now : TimePoint::origin();
-}
-
 void Simulator::reset() {
   OAQ_REQUIRE(live_ == 0, "reset with events still pending");
   now_ = TimePoint::origin();
@@ -246,9 +202,6 @@ void Simulator::reset() {
   scheduled_ = 0;
   cancelled_ = 0;
   peak_pending_ = 0;
-  current_tag_ = 0;
-  tag_bits_ = 0;
-  for (LaneState& lane : lanes_) lane = LaneState{};
   queue_stats_ = {};
   heap_.clear();  // tombstones only (nothing is pending); capacity survives
   // slab_ and free_ survive: every slot is disarmed (even generation) and

@@ -88,6 +88,31 @@ TEST(KernelGolden, SimulateTraceAndMetricsMatchSeedKernel) {
   }
 }
 
+TEST(KernelGolden, SimulateQueueMetricsArePerEpisode) {
+  // sim.queue.* and sim.batch.* as `oaqctl simulate --metrics` exports
+  // them, pinned to a capture from the sequential drain: every episode
+  // reports its own ready-queue high-water and tombstone count.
+  const std::string golden_metrics =
+      read_file("golden_simulate_queue_metrics.json");
+  ASSERT_NE(golden_metrics.find("\"sim.queue.max_entries\""),
+            std::string::npos);
+  for (const int jobs : {1, 4}) {
+    QosSimulationConfig cfg = golden_simulate_config();
+    cfg.episodes = 2000;
+    cfg.seed = 1;
+    cfg.queue_metrics = true;
+    cfg.batch_metrics = true;
+    cfg.jobs = jobs;
+    MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    (void)simulate_qos(cfg);
+    std::ostringstream ms;
+    metrics.write_json(ms);
+    ms << "\n";
+    EXPECT_EQ(ms.str(), golden_metrics) << "metrics drifted at jobs=" << jobs;
+  }
+}
+
 TEST(KernelGolden, CampaignTraceAndMetricsMatchSeedKernel) {
   const std::string golden_trace = read_file("golden_campaign_trace.jsonl");
   const std::string golden_metrics = read_file("golden_campaign_metrics.json");

@@ -135,51 +135,6 @@ TEST(BatchEpisode, BitwiseEqualWithFaultPlanAttached) {
   }
 }
 
-// With interleaving default-on (interleave_width = 0 → block width) the
-// byte-identity suites above already drain merged timelines; these pin the
-// contract at every explicit width, including width 1 — the PR 6
-// sequential drain — which must remain reachable and identical.
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualAcrossWidths) {
-  for (const int width : {1, 2, 4, kEpisodeBatchWidth}) {
-    auto cfg = protocol_config(400, /*oaq=*/true);
-    cfg.jobs = 1;
-    cfg.interleave_width = width;
-    expect_bitwise_equal(cfg, "width=" + std::to_string(width));
-  }
-}
-
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualAcrossWorkerCounts) {
-  // Sharding composes with interleaving: each worker drains its own merged
-  // timeline, and the resequenced artifacts must still match the scalar
-  // oracle byte for byte at every jobs count.
-  for (const int jobs : {1, 4, 8}) {
-    auto cfg = protocol_config(400, /*oaq=*/true);
-    cfg.jobs = jobs;
-    cfg.interleave_width = kEpisodeBatchWidth;
-    expect_bitwise_equal(cfg, "interleave jobs=" + std::to_string(jobs));
-  }
-}
-
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualWithFaultPlanAttached) {
-  // Fault storms schedule injector events on the shared timeline; the
-  // per-episode cancel namespace must keep them in their own lanes.
-  FaultPlan plan;
-  plan.add(FaultPlan::fail_silent({0, 2}, Duration::minutes(1.0)));
-  plan.add(FaultPlan::recover({0, 2}, Duration::minutes(4.0)));
-  plan.add(FaultPlan::delay_spike(3.0, Duration::minutes(1.0),
-                                  Duration::minutes(5.0)));
-  plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(0.0),
-                                 Duration::minutes(2.0)));
-  for (const int width : {2, kEpisodeBatchWidth}) {
-    auto cfg = protocol_config(300, /*oaq=*/true);
-    cfg.fault_plan = &plan;
-    cfg.check_invariants = true;
-    cfg.jobs = 1;
-    cfg.interleave_width = width;
-    expect_bitwise_equal(cfg, "faults width=" + std::to_string(width));
-  }
-}
-
 /// TargetEpisode::arm()'s detection decision, replayed over a materialized
 /// pass list: any pass covering the signal start, else the first pass
 /// starting inside [sig_start, sig_end).

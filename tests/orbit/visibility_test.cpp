@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/error.hpp"
+#include "orbit/constellation_builder.hpp"
 
 namespace oaq {
 namespace {
@@ -133,6 +136,24 @@ TEST(PassPredictor, RejectsEmptyHorizon) {
   EXPECT_THROW(
       (void)pred.passes(GeoPoint{}, Duration::minutes(5), Duration::minutes(5)),
       PreconditionError);
+}
+
+TEST(PassPredictor, GrazingPassesAreNotEmitted) {
+  // A 40/8/1 delta shell at 60° inclination over a 50° target: some
+  // satellites only graze the footprint edge, and root refinement can
+  // collapse such a crossing pair onto one instant (e.g. sat 6/3 near
+  // 69000 s). A zero-length pass covers nothing, so none may be emitted.
+  std::istringstream shell("shell 40 8 1 781 60 delta 0 10 period 100\n");
+  const Constellation c = build_constellation(parse_constellation(shell));
+  const PassPredictor pred(c);
+  const auto passes = pred.passes(GeoPoint::from_degrees(50.0, 0.0),
+                                  Duration::zero(), Duration::hours(20.0));
+  ASSERT_FALSE(passes.empty());
+  for (const auto& p : passes) {
+    EXPECT_LT(p.start, p.end) << "sat " << p.satellite.plane << "/"
+                              << p.satellite.slot << " at "
+                              << p.start.to_seconds() << " s";
+  }
 }
 
 }  // namespace

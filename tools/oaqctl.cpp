@@ -34,7 +34,6 @@
 #include "common/table.hpp"
 #include "fault/plan.hpp"
 #include "fault/plane_capacity.hpp"
-#include "oaq/batch_episode.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/campaign.hpp"
 #include "oaq/planner.hpp"
@@ -586,23 +585,6 @@ int cmd_simulate(const Args& args) {
   // Batch-engine occupancy counters are pure functions of the episode
   // sequence, so they share queue_metrics' determinism contract.
   cfg.batch_metrics = true;
-  // Strict: --interleave-width only means something on the batch engine,
-  // so the combination with --no-batch-episodes is a contradiction, not a
-  // silent no-op; out-of-range widths are a one-line error likewise.
-  if (args.flag("interleave-width")) {
-    if (!cfg.batch_episodes) {
-      throw std::invalid_argument(
-          "--interleave-width requires the batch engine; drop "
-          "--no-batch-episodes");
-    }
-    const int width = args.integer("interleave-width", 0);
-    if (width < 0 || width > kEpisodeBatchWidth) {
-      throw std::invalid_argument(
-          "--interleave-width must be 0 (block width) or in [1, " +
-          std::to_string(kEpisodeBatchWidth) + "]");
-    }
-    cfg.interleave_width = width;
-  }
   apply_link_flags(args, cfg.protocol);
 
   // Geometric mode: --constellation <preset|file> (+ --lat/--lon target,
@@ -660,8 +642,6 @@ int cmd_simulate(const Args& args) {
   obs.manifest.add_config("reliable",
                           cfg.protocol.reliable_links ? "1" : "0");
   obs.manifest.add_config("batch_episodes", cfg.batch_episodes ? "1" : "0");
-  obs.manifest.add_config("interleave_width",
-                          std::to_string(cfg.interleave_width));
   obs.manifest.add_config("pooled_episodes", cfg.pooled_episodes ? "1" : "0");
   obs.manifest.add_config("constellation", con ? con->origin : "");
   if (con) {
@@ -1483,10 +1463,7 @@ int help() {
       "OAQ_JOBS env var) overrides, --jobs 1 is the serial path. Results\n"
       "are bit-identical for any jobs value. --no-batch-episodes runs the\n"
       "scalar per-episode oracle instead of the (byte-identical) batched\n"
-      "SoA engine on the analytic path. simulate --interleave-width W\n"
-      "multiplexes W armed lanes per batch over one episode-tagged event\n"
-      "timeline (0 = block width, 1 = sequential drain; output bytes are\n"
-      "identical at every width, so the flag is purely operational).\n"
+      "SoA engine on the analytic path.\n"
       "Geometric mode (simulate, campaign, coverage): --constellation C\n"
       "runs against real orbital geometry, where C is a preset (reference,\n"
       "kepler, iridium-next, oneweb, starlink) or a Walker shell file (see\n"

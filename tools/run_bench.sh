@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Runs the performance benches and aggregates their BENCH_JSON lines into
-# BENCH_3.json (DES kernel + parallel scaling, ISSUE 3), BENCH_4.json
-# (batched Kepler geometry + shared visibility cache, ISSUE 4), BENCH_5.json
-# (fault-injection engine, ISSUE 5), BENCH_6.json (SoA episode batching,
-# ISSUE 6), BENCH_7.json (episode batching + span-profiler overhead,
-# ISSUE 7), BENCH_8.json (BENCH_7's pair + the mega-constellation
-# scale-out, ISSUE 8), BENCH_9.json (the same trio, with
-# episode_batch now also emitting its episode_interleave payload,
-# ISSUE 9), and BENCH_10.json (BENCH_9's trio plus the chaos_soak
-# stochastic-fault / self-healing-link harness, ISSUE 10) at the repo
+# BENCH_3.json (DES kernel + parallel scaling), BENCH_4.json (batched
+# Kepler geometry + shared visibility cache), BENCH_5.json
+# (fault-injection engine), BENCH_6.json (SoA episode batching),
+# BENCH_7.json (episode batching + span-profiler overhead), BENCH_8.json
+# (BENCH_7's pair + the mega-constellation scale-out), BENCH_9.json (the
+# same trio; the committed snapshot also carries the payload of the
+# since-deleted interleaved drain), and BENCH_10.json (BENCH_9's trio plus
+# the chaos_soak stochastic-fault / self-healing-link harness) at the repo
 # root.
 #
 #   tools/run_bench.sh [build-dir]
@@ -78,13 +77,13 @@ echo "== episode_batch + span_overhead ==" >&2
 "${build_dir}/bench/span_overhead" | tee -a "${log7}" >&2
 aggregate "${log7}" "${repo_root}/BENCH_7.json"
 
-echo "== episode_batch + span_overhead + constellation_scale ==" >&2
+echo "== episode_batch + span_overhead + constellation_scale (BENCH_8) ==" >&2
 "${build_dir}/bench/episode_batch" | tee -a "${log8}" >&2
 "${build_dir}/bench/span_overhead" | tee -a "${log8}" >&2
 "${build_dir}/bench/constellation_scale" | tee -a "${log8}" >&2
 aggregate "${log8}" "${repo_root}/BENCH_8.json"
 
-echo "== episode_batch (interleave) + span_overhead + constellation_scale ==" >&2
+echo "== episode_batch + span_overhead + constellation_scale (BENCH_9) ==" >&2
 "${build_dir}/bench/episode_batch" | tee -a "${log9}" >&2
 "${build_dir}/bench/span_overhead" | tee -a "${log9}" >&2
 "${build_dir}/bench/constellation_scale" | tee -a "${log9}" >&2
