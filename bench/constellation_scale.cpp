@@ -1,7 +1,8 @@
 // Mega-constellation scale-out harness (ISSUE 8 tentpole): episodes/sec
 // and peak RSS across the Walker preset ladder {reference 7×14,
 // iridium-next 6×11, oneweb 18×36, starlink 72×22} at jobs 1/4/8; the
-// pooled-vs-naive per-episode A/B at the 72×22 design point; the pooled
+// pooled-vs-naive per-episode A/B at the 72×22 design point (naive = the
+// scalar oracle's per-episode step, tests/support/qos_oracle); the pooled
 // runner's steady-state allocation count (hence alloc_counter); and the
 // warm SharedVisibilityCache hit accounting. Prints a human table plus a
 // BENCH_JSON line (aggregated into BENCH_8.json by tools/run_bench.sh).
@@ -27,6 +28,7 @@
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
 #include "orbit/visibility.hpp"
+#include "qos_oracle.hpp"
 
 using namespace oaq;
 
@@ -59,20 +61,14 @@ QosSimulationConfig scale_config(const Constellation& c, int episodes) {
   return cfg;
 }
 
-double run_seconds(const QosSimulationConfig& base, int jobs, bool pooled) {
+double episodes_per_sec(const QosSimulationConfig& base, int jobs) {
   QosSimulationConfig cfg = base;
   cfg.jobs = jobs;
-  cfg.pooled_episodes = pooled;
   const auto t0 = Clock::now();
   const SimulatedQos qos = simulate_qos(cfg);
   const double elapsed = seconds_since(t0);
   if (qos.episodes != cfg.episodes) std::abort();
-  return elapsed;
-}
-
-double episodes_per_sec(const QosSimulationConfig& base, int jobs,
-                        bool pooled) {
-  return static_cast<double>(base.episodes) / run_seconds(base, jobs, pooled);
+  return static_cast<double>(cfg.episodes) / elapsed;
 }
 
 /// Drive one PooledEpisodeRunner directly, feeding it the exact
@@ -121,9 +117,10 @@ struct AbThroughput {
 
 /// Pooled-vs-naive per-episode throughput, both engines driven directly
 /// over one pre-warmed VisibilityCache so the timed regions contain pure
-/// episode work: the naive path re-constructs Simulator/CrosslinkNetwork
-/// and re-registers the pass horizon per episode (exactly like the scalar
-/// simulate_qos loop), the pooled path resets one arena. Measuring this
+/// episode work: the naive path is the scalar oracle's per-episode step
+/// (oracle_episode: EpisodeEngine::run re-constructs Simulator/
+/// CrosslinkNetwork and re-registers the pass horizon per episode), the
+/// pooled path resets one arena. Measuring this
 /// way — instead of subtracting two full simulate_qos runs — keeps the
 /// one-time visibility seed sweep out of the comparison entirely, so the
 /// recorded numbers are stable enough to trend-gate.
@@ -138,8 +135,6 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
   GeometricSchedule schedule(cache, cfg.target);
   PooledEpisodeRunner runner(schedule, c.active_satellites(), cfg.protocol,
                              cfg.opportunity_adaptive, /*plan=*/nullptr);
-  const EpisodeEngine engine(schedule, cfg.protocol,
-                             cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
   std::uint64_t level_sink = 0;
@@ -153,10 +148,9 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
     return ep.fork(3);
   };
   const auto run_naive = [&](std::int64_t e) {
-    Duration phase, duration;
-    Rng protocol = episode_inputs(e, phase, duration);
-    const EpisodeResult r =
-        engine.run(signal_start + phase, duration, protocol);
+    const EpisodeResult r = oracle_episode(cfg, &schedule, e,
+                                           /*trace=*/nullptr,
+                                           /*hooks=*/nullptr);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
   const auto run_pooled = [&](std::int64_t e) {
@@ -236,11 +230,10 @@ int main(int argc, char** argv) {
     row.name = name;
     row.planes = c.num_planes();
     row.active = c.total_active();
-    (void)episodes_per_sec(cfg, 1, /*pooled=*/true);  // untimed warm-up
+    (void)episodes_per_sec(cfg, 1);  // untimed warm-up
     for (int rep = 0; rep < 2; ++rep) {
       for (int j = 0; j < 3; ++j) {
-        row.eps[j] = std::max(row.eps[j],
-                              episodes_per_sec(cfg, kJobs[j], true));
+        row.eps[j] = std::max(row.eps[j], episodes_per_sec(cfg, kJobs[j]));
       }
     }
     row.rss_mib = peak_rss_mib();

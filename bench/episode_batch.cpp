@@ -1,7 +1,7 @@
-// SoA episode-batching harness (ISSUE 6 tentpole): scalar vs batched
-// episodes/sec through simulate_qos, the batch engine's steady-state
-// allocation count (hence alloc_counter), and the lane-occupancy histogram
-// of the SoA prologue. Prints a human table plus a BENCH_JSON line
+// SoA episode-batching harness: episodes/sec of the scalar oracle
+// (simulate_qos_oracle, tests/support) vs the batched simulate_qos path,
+// the batch engine's steady-state allocation count (hence
+// alloc_counter), and the lane-occupancy histogram of the SoA prologue. Prints a human table plus a BENCH_JSON line
 // (aggregated into BENCH_6.json by tools/run_bench.sh).
 //
 //   episode_batch [episodes]
@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "oaq/batch_episode.hpp"
 #include "oaq/montecarlo.hpp"
+#include "qos_oracle.hpp"
 
 using namespace oaq;
 
@@ -39,12 +40,11 @@ QosSimulationConfig base_config(int episodes) {
   return cfg;
 }
 
-/// Episodes/sec of one simulate_qos run with the batch engine on or off.
-double episodes_per_sec(const QosSimulationConfig& base, bool batched) {
-  QosSimulationConfig cfg = base;
-  cfg.batch_episodes = batched;
+/// Episodes/sec of one simulate_qos run, or of the scalar oracle's.
+double episodes_per_sec(const QosSimulationConfig& cfg, bool batched) {
   const auto t0 = Clock::now();
-  const SimulatedQos qos = simulate_qos(cfg);
+  const SimulatedQos qos =
+      batched ? simulate_qos(cfg) : simulate_qos_oracle(cfg);
   const double elapsed = seconds_since(t0);
   if (qos.episodes != cfg.episodes) std::abort();
   return static_cast<double>(cfg.episodes) / elapsed;
@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
   const SteadyState steady = steady_state_allocs(cfg, 512, 4096);
 
   TablePrinter table({"path", "episodes/s", "speedup"}, 2);
-  table.add_row({std::string("scalar (per-episode ctor)"), scalar_eps, 1.0});
+  table.add_row({std::string("scalar oracle (per-episode ctor)"), scalar_eps,
+                 1.0});
   table.add_row({std::string("batched (SoA + reuse)"), batched_eps, speedup});
   table.print(std::cout);
 

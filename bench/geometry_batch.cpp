@@ -1,6 +1,7 @@
 // Batched geometry engine harness (ISSUE 4 tentpole): scalar-vs-batched
 // Kepler margin-sweep throughput, solve-only throughput, the warm-up wall
-// of private per-shard visibility caches vs the seeded shared cache, and
+// of private per-shard visibility caches vs a whole simulate_qos run over
+// the seeded shared cache, and
 // the frozen cache's steady-state allocation count. Prints a human table
 // plus one BENCH_JSON line (aggregated into BENCH_4.json by
 // tools/run_bench.sh).
@@ -18,9 +19,12 @@
 #include "alloc_counter.hpp"
 #include "common/table.hpp"
 #include "geom/geodesy.hpp"
+#include "common/parallel.hpp"
 #include "oaq/montecarlo.hpp"
+#include "oaq/montecarlo_internal.hpp"
 #include "orbit/batch_kepler.hpp"
 #include "orbit/shared_visibility_cache.hpp"
+#include "orbit/visibility_cache.hpp"
 
 using namespace oaq;
 
@@ -134,11 +138,31 @@ struct WarmupRow {
   [[nodiscard]] double speedup() const { return legacy_s / shared_s; }
 };
 
-/// Wall clock of a geometric Monte-Carlo run whose cost is dominated by
-/// cache warm-up: with private caches every one of the 64 shards redoes
-/// the same quantum-window Kepler sweep; the shared cache seeds it once.
-/// The ratio is work elimination (64 sweeps -> 1), so it holds on a
-/// single-core runner too.
+/// The warm-up of private per-shard caches: every one of the 64 shards
+/// builds its own VisibilityCache and redoes the same quantum-window
+/// Kepler sweep that an episode's first pass query triggers (the scalar
+/// oracle still reads passes this way). Fanned out over `jobs` like the
+/// shards themselves.
+void private_cache_warmup(const QosSimulationConfig& cfg, int jobs) {
+  VisibilityCache::Options vopt;
+  vopt.window_quantum = detail::qos_visibility_quantum(cfg);
+  const std::size_t passes = parallel_reduce<std::size_t>(
+      kQosEpisodeShards, kQosEpisodeShards, jobs,
+      [&](std::int64_t, std::int64_t, int) {
+        VisibilityCache cache(*cfg.constellation, cfg.earth_rotation, vopt);
+        std::vector<Pass> out;
+        cache.passes_window_into(cfg.target, Duration::zero(),
+                                 vopt.window_quantum, out);
+        return out.size();
+      },
+      [](std::size_t& into, std::size_t&& from) { into += from; });
+  if (passes == 0) std::abort();
+}
+
+/// Wall clock of cache warm-up: with private caches every one of the 64
+/// shards redoes the same quantum-window Kepler sweep; a whole geometric
+/// Monte-Carlo run over the shared cache seeds it once. The ratio is work
+/// elimination (64 sweeps -> 1), so it holds on a single-core runner too.
 WarmupRow warmup_wall(const Constellation& c, int jobs) {
   QosSimulationConfig cfg;
   cfg.constellation = &c;
@@ -152,14 +176,12 @@ WarmupRow warmup_wall(const Constellation& c, int jobs) {
   row.jobs = jobs;
   // Untimed warm-up so one-time costs (thread-pool spin-up at this jobs
   // level, page faults) don't land in whichever timed run goes first.
-  cfg.shared_visibility = false;
-  (void)simulate_qos(cfg);
+  private_cache_warmup(cfg, jobs);
 
   auto t0 = Clock::now();
-  (void)simulate_qos(cfg);
+  private_cache_warmup(cfg, jobs);
   row.legacy_s = seconds_since(t0);
 
-  cfg.shared_visibility = true;
   t0 = Clock::now();
   (void)simulate_qos(cfg);
   row.shared_s = seconds_since(t0);

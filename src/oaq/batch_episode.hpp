@@ -1,53 +1,45 @@
 // SoA episode batching for the analytic Monte-Carlo path (DESIGN.md §12).
 //
-// The scalar path of simulate_qos builds a Simulator, a CrosslinkNetwork
-// and a TargetEpisode from scratch for every episode — thousands of
-// episodes, each paying construction, handler registration, and teardown
-// for a protocol run that is often over before it starts (the signal
-// escapes surveillance entirely). BatchEpisodeEngine advances a shard's
-// episodes in blocks of kEpisodeBatchWidth lanes:
+// Many analytic episodes are over before they start: the signal escapes
+// surveillance entirely, and building or even resetting a DES context for
+// them is pure overhead. BatchEpisodeEngine advances a shard's episodes
+// in blocks of kEpisodeBatchWidth lanes:
 //
 //   1. Prologue (SoA): the per-lane phase and signal duration are sampled
-//      into structure-of-arrays lanes from the same per-index RNG streams
-//      the scalar path forks (episode_rng.fork(e) → fork(1)/fork(2)), and
-//      each lane is classified closed-form against the analytic timing
-//      diagram: will the signal be detected at all? The classification
-//      mirrors TargetEpisode::arm() expression by expression, so it is
-//      bit-exact against the scalar decision.
+//      into structure-of-arrays lanes from the per-index RNG streams
+//      (episode_rng.fork(e) → fork(1)/fork(2)), and each lane is
+//      classified closed-form against the analytic timing diagram: will
+//      the signal be detected at all? The classification mirrors
+//      TargetEpisode::arm() expression by expression, so it is bit-exact
+//      against arm()'s decision.
 //   2. Escaped lanes retire immediately with a default EpisodeResult — the
-//      exact value the scalar engine returns for a failed arm — and never
+//      exact value EpisodeEngine::run returns for a failed arm — and never
 //      touch the DES.
-//   3. Armed lanes drain one at a time, in episode order, through one
-//      reusable DES context (simulator, network, episode, injector) that is
-//      reset between lanes instead of rebuilt — handler registration and
-//      buffer growth are paid once per shard, not once per episode.
+//   3. Armed lanes drain one at a time, in episode order, through the
+//      shard's PooledEpisodeRunner over the engine's AnalyticSchedule,
+//      which is reassigned to the lane's phase before each drain.
 //
-// Determinism: every random stream is the same fork the scalar path uses
-// (ep.fork(3) protocol noise, .fork(0x6e6574) network, .fork(0x666c74)
-// injector), DES event order is a pure function of (time, sequence) —
-// never of recycled slab slots — and the closed-form escape test is a
-// false-positive-safe mirror of arm() (a lane the classifier arms but arm()
-// rejects still retires with the scalar's default result). Lanes retire in
-// strictly increasing episode order, so the trace stream, metric
-// observation order, ledger rows, and span trees are byte-identical to the
-// scalar oracle at any job count.
+// Determinism: every random stream is the fork the test-side scalar
+// oracle uses (ep.fork(3) protocol noise, .fork(0x6e6574) network,
+// .fork(0x666c74) injector), DES event order is a pure function of
+// (time, sequence) — never of recycled slab slots — and the closed-form
+// escape test is a false-positive-safe mirror of arm() (a lane the
+// classifier arms but arm() rejects still retires with the default
+// result). Lanes retire in strictly increasing episode order, so the
+// trace stream, metric observation order, ledger rows, and span trees are
+// byte-identical to the oracle at any job count.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <set>
 
 #include "common/distribution.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
-#include "net/crosslink.hpp"
 #include "oaq/episode.hpp"
+#include "oaq/pooled_episode.hpp"
 #include "oaq/schedule.hpp"
-#include "oaq/target_episode.hpp"
 #include "obs/span.hpp"
-#include "sim/simulator.hpp"
 
 namespace oaq {
 
@@ -77,7 +69,7 @@ struct BatchEpisodeStats {
   std::uint64_t batches = 0;    ///< prologue blocks processed
   std::uint64_t episodes = 0;   ///< total lanes (escaped + drained)
   std::uint64_t escaped = 0;    ///< retired closed-form, DES skipped
-  std::uint64_t des_lanes = 0;  ///< lanes drained through the DES context
+  std::uint64_t des_lanes = 0;  ///< lanes drained through the DES arena
   /// Histogram of armed lanes per full-width block (index = armed count).
   std::array<std::uint64_t, kEpisodeBatchWidth + 1> occupancy{};
 
@@ -93,12 +85,12 @@ struct BatchEpisodeStats {
 };
 
 /// Per-shard batched episode engine for the analytic schedule. Construct
-/// one per shard (the DES context is single-threaded state) and feed it the
+/// one per shard (its arena is single-threaded state) and feed it the
 /// shard's contiguous episode index range.
 class BatchEpisodeEngine {
  public:
   /// Receives every episode's result in strictly increasing episode order —
-  /// the same (index, result) sequence the scalar loop produces. The
+  /// the same (index, result) sequence the scalar oracle produces. The
   /// reference is valid only during the call.
   using ResultSink = std::function<void(std::int64_t, const EpisodeResult&)>;
 
@@ -118,13 +110,12 @@ class BatchEpisodeEngine {
 
   /// Run episodes [begin, end) and deliver each result to `sink` in order.
   /// `trace` (nullable) receives the shard's protocol events; `invariants`
-  /// (nullable) audits every drained episode like the scalar hooks do;
-  /// `spans` (nullable) records one "prologue" span per block (items =
-  /// lanes classified) and one "drain" span per block (items = armed
-  /// lanes) — block granularity keeps the profiler inside its <= 5%
-  /// overhead gate (bench/span_overhead); `ledger` (nullable) receives
-  /// every final drop, retry, and fault activation under the owning
-  /// lane's episode id.
+  /// (nullable) audits every drained episode; `spans` (nullable) records
+  /// one "prologue" span per block (items = lanes classified) and one
+  /// "drain" span per block (items = armed lanes) — block granularity
+  /// keeps the profiler inside its <= 5% overhead gate
+  /// (bench/span_overhead); `ledger` (nullable) receives every final
+  /// drop, retry, and fault activation under the owning lane's episode id.
   void run(std::int64_t begin, std::int64_t end, ShardTraceBuffer* trace,
            InvariantChecker* invariants, const ResultSink& sink,
            SpanArena* spans = nullptr, EpisodeLedger* ledger = nullptr);
@@ -132,63 +123,30 @@ class BatchEpisodeEngine {
   [[nodiscard]] const BatchEpisodeStats& stats() const { return stats_; }
 
  private:
-  /// The reusable protocol context — network, episode, schedule, and RNG
-  /// streams over the engine's simulator, with handlers registered once at
-  /// construction. Lives as a member of the non-movable engine, so the
-  /// handlers' captured `this` stays valid.
-  struct DesContext {
-    DesContext(Simulator& sim, const PlaneGeometry& geometry, int k,
-               const ProtocolConfig& cfg, bool opportunity_adaptive,
-               const std::set<SatelliteId>& known_failed,
-               bool want_drop_handler);
-
-    /// The lane's protocol stream; its TargetEpisode holds a pointer to it
-    /// across reset_for calls.
-    Rng protocol_rng;
-    AnalyticSchedule schedule;  ///< reassigned per lane (phase changes)
-    CrosslinkNetwork net;
-    TargetEpisode episode;
-    std::optional<FaultInjector> injector;
-    /// Reusable stochastic-clause expander: reuse keeps repeated arms
-    /// allocation-free (chaos-soak gate).
-    FaultProcessExpander expander;
-  };
-
   /// Closed-form mirror of TargetEpisode::arm()'s detection decision for
   /// the analytic schedule — same window, same pass enumeration, same
   /// floating-point expressions, no materialized pass list.
   [[nodiscard]] bool lane_detects(Duration phase, Duration duration) const;
 
-  /// Drain one armed lane through the shared context.
-  void run_des_lane(std::int64_t e, Duration phase, Duration duration,
-                    ShardTraceBuffer* trace, InvariantChecker* invariants,
-                    const ResultSink& sink);
-
   PlaneGeometry geometry_;
   int k_;
-  ProtocolConfig cfg_;
-  bool oaq_;
+  Duration tau_;
   const DurationDistribution* duration_law_;
   Rng episode_rng_;
   TimePoint signal_start_;
-  const FaultPlan* plan_;  ///< normalized: null when absent or empty
-  EpisodeLedger* ledger_ = nullptr;  ///< current run()'s attribution sink
 
-  /// Reset per drained lane. Declared before ctx_, which binds to it.
-  Simulator sim_;
-  std::set<SatelliteId> no_known_failed_;
-  DesContext ctx_;
+  /// The lane's pass pattern, reassigned per armed lane (the phase is the
+  /// randomized quantity). Declared before runner_, which reads it.
+  AnalyticSchedule schedule_;
+  PooledEpisodeRunner runner_;
 
   // SoA prologue lanes.
   std::array<Duration, kEpisodeBatchWidth> lane_phase_{};
   std::array<Duration, kEpisodeBatchWidth> lane_duration_{};
   std::array<bool, kEpisodeBatchWidth> lane_armed_{};
 
-  /// Scalar-identical retirement value of an escaped lane.
+  /// Retirement value of an escaped lane (EpisodeEngine::run's failed arm).
   const EpisodeResult escaped_result_{};
-  /// Reused copy target for drained results (participants capacity
-  /// survives, so steady-state episodes copy without allocating).
-  EpisodeResult result_buf_;
 
   BatchEpisodeStats stats_;
 };

@@ -79,24 +79,7 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
           : std::make_shared<ExponentialDuration>(Rate::per_minute(0.2));
 
   Simulator sim;
-  CrosslinkNetwork::Options net_opt;
-  net_opt.min_delay = config.protocol.delta * 0.3;
-  net_opt.max_delay = config.protocol.delta;
-  net_opt.loss_probability = config.protocol.crosslink_loss_probability;
-  net_opt.lossless_to_ground = true;
-  net_opt.reliable = config.protocol.reliable_links;
-  net_opt.retry_limit = config.protocol.link_retry_limit;
-  net_opt.backoff_base = config.protocol.link_backoff_base;
-  if (config.protocol.self_healing_links) {
-    net_opt.health.enabled = true;
-    net_opt.health.alpha = config.protocol.link_health_alpha;
-    net_opt.health.demote_below = config.protocol.link_demote_below;
-    net_opt.health.restore_above = config.protocol.link_restore_above;
-    net_opt.health.probation = config.protocol.link_probation;
-    net_opt.health.probation_backoff = config.protocol.link_probation_backoff;
-    net_opt.health.probation_cap = config.protocol.tau;  // τ-feasibility cap
-  }
-  CrosslinkNetwork net(sim, net_opt, net_rng);
+  CrosslinkNetwork net(sim, crosslink_options(config.protocol), net_rng);
   // Episodes share the network; network events carry episode = -1 unless
   // per-envelope attribution is on (then each xlink_* event names the
   // owning target — the golden campaign trace keeps the -1 default).
@@ -114,10 +97,8 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   // One pass pattern for the whole campaign; signal arrival times are
   // uniform over the pattern period by Poisson stationarity. Geometric
   // mode swaps the analytic plane for real constellation geometry, read
-  // either from the run-wide frozen shared cache (replication-local hit
-  // stats) or from a replication-private cache; both use the
-  // horizon-covering quantum, so a replication needs one Kepler sweep.
-  std::optional<VisibilityCache> vis_cache;
+  // from the run-wide frozen shared cache (replication-local hit stats),
+  // whose horizon-covering quantum needs one Kepler sweep per run.
   VisibilityCacheStats shared_stats;
   std::unique_ptr<const CoverageSchedule> schedule;
   const bool analytic = config.constellation == nullptr;
@@ -131,12 +112,6 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
     schedule = std::make_unique<GeometricSchedule>(*shared_cache,
                                                    config.target,
                                                    &shared_stats);
-  } else if (config.constellation != nullptr) {
-    VisibilityCache::Options vopt;
-    vopt.window_quantum = campaign_visibility_quantum(config);
-    vis_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    schedule =
-        std::make_unique<GeometricSchedule>(*vis_cache, config.target);
   } else {
     schedule = std::make_unique<AnalyticSchedule>(config.geometry, config.k,
                                                   phase);
@@ -161,13 +136,13 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
     t = t + arrivals_rng.exponential(config.signal_arrival_rate);
     if (t >= end) break;
     const Duration duration = duration_law->sample(durations_rng);
-    if (analytic && config.batch_episodes &&
+    if (analytic &&
         !analytic_signal_detected(config.geometry, config.k, phase, t,
                                   duration, config.protocol.tau)) {
-      // Closed-form escape: the scalar path would build the RNG stream and
-      // the episode only for arm() to reject it — record the identical
-      // kMissed outcome without either. False positives fall through to
-      // arm(), which stays the authority.
+      // Closed-form escape: building the RNG stream and the episode would
+      // only let arm() reject it — record the identical kMissed outcome
+      // without either. False positives fall through to arm(), which
+      // stays the authority.
       out.levels.add(to_int(QosLevel::kMissed));
       ++target_id;
       ++out.signals;
@@ -367,17 +342,11 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
       m.observe("sim.queue.max_entries",
                 static_cast<double>(qs.max_entries));
     }
-    if (shared_cache != nullptr || vis_cache) {
-      const VisibilityCacheStats& vs =
-          shared_cache != nullptr ? shared_stats : vis_cache->stats();
+    if (shared_cache != nullptr) {
       m.add("visibility.pass_queries",
-            static_cast<std::int64_t>(vs.pass_queries));
+            static_cast<std::int64_t>(shared_stats.pass_queries));
       m.add("visibility.pass_hits",
-            static_cast<std::int64_t>(vs.pass_hits));
-      if (vis_cache) {
-        m.add("visibility.cache_entries",
-              static_cast<std::int64_t>(vis_cache->entry_count()));
-      }
+            static_cast<std::int64_t>(shared_stats.pass_hits));
     }
     m.observe("compute.queueing_delay_s", out.queueing_delay_s);
     for (auto& ep : episodes) {
@@ -428,7 +397,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   std::optional<SharedVisibilityCache> shared_cache;
   SeedFreezeHook seed_hook;
   int seed_executors = 0;
-  if (config.constellation != nullptr && config.shared_visibility) {
+  if (config.constellation != nullptr) {
     VisibilityCache::Options vopt;
     vopt.window_quantum = campaign_visibility_quantum(config);
     shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);

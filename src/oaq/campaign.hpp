@@ -7,7 +7,11 @@
 // computations. This engine runs all signals in ONE simulator over ONE
 // crosslink network, with a FIFO per-satellite compute calendar, and
 // reports the QoS distribution as a function of load
-// (bench/ext_load_curve).
+// (bench/ext_load_curve). Unlike simulate_qos, whose episodes are
+// independent and reuse one per-shard arena (PooledEpisodeRunner),
+// campaign episodes interact, so each replication owns its simulator.
+// Analytic arrivals are pre-screened with the closed-form escape test;
+// geometric campaigns read one run-wide frozen visibility cache.
 #pragma once
 
 #include <cstdint>
@@ -53,25 +57,19 @@ struct CampaignConfig {
   // campaign runs against real orbital geometry over `target` instead of
   // the analytic plane. The visibility cache quantum is derived from the
   // horizon (one Kepler sweep covers every episode window of a
-  // replication), and by default one seed-then-frozen cache is shared by
-  // all replications. ---
+  // replication), and one seed-then-frozen cache is shared by all
+  // replications. ---
   const Constellation* constellation = nullptr;
   GeoPoint target{};
   bool earth_rotation = false;
-  /// Share one frozen visibility cache across replications instead of one
-  /// private cache per replication. Results are bit-identical either way;
-  /// the knob exists for A/B benchmarking (see montecarlo).
-  bool shared_visibility = true;
 
   /// Export `sim.queue.*` DES ready-queue telemetry into `metrics` (off by
   /// default: the golden metrics files predate these keys).
   bool queue_metrics = false;
 
-  /// Pre-screen analytic-mode arrivals with the closed-form escape test
-  /// (analytic_signal_detected): a signal the pass pattern can never
-  /// detect records kMissed without constructing its RNG stream and
-  /// episode state machine. Byte-identical either way — arm() remains the
-  /// authority for every signal that survives the screen.
+  /// Unread; kept only so existing callers that set it still compile.
+  /// Analytic-mode arrivals are always pre-screened with the closed-form
+  /// escape test (analytic_signal_detected).
   bool batch_episodes = true;
 
   // --- Fault injection (ISSUE 5). ---

@@ -11,6 +11,57 @@
 
 namespace oaq {
 
+CrosslinkNetwork::Options crosslink_options(const ProtocolConfig& cfg) {
+  CrosslinkNetwork::Options opt;
+  opt.min_delay = cfg.delta * 0.3;
+  opt.max_delay = cfg.delta;
+  opt.loss_probability = cfg.crosslink_loss_probability;
+  opt.lossless_to_ground = true;
+  opt.reliable = cfg.reliable_links;
+  opt.retry_limit = cfg.link_retry_limit;
+  opt.backoff_base = cfg.link_backoff_base;
+  if (cfg.self_healing_links) {
+    opt.health.enabled = true;
+    opt.health.alpha = cfg.link_health_alpha;
+    opt.health.demote_below = cfg.link_demote_below;
+    opt.health.restore_above = cfg.link_restore_above;
+    opt.health.probation = cfg.link_probation;
+    opt.health.probation_backoff = cfg.link_probation_backoff;
+    opt.health.probation_cap = cfg.tau;  // τ-feasibility cap
+  }
+  return opt;
+}
+
+void record_telemetry(EpisodeTelemetry& t, const CrosslinkNetwork& net,
+                      const Simulator& sim, const FaultInjector* injector) {
+  const NetworkStats& ns = net.stats();
+  t.messages_sent = ns.sent;
+  t.messages_delivered = ns.delivered;
+  t.messages_dropped_loss = ns.dropped_loss;
+  t.messages_dropped_dead =
+      ns.dropped_dead_sender + ns.dropped_dead_receiver +
+      ns.dropped_unregistered;
+  t.messages_dropped_link = ns.dropped_link;
+  t.retries = ns.retries;
+  t.retries_exhausted = ns.retries_exhausted;
+  t.links_demoted = ns.links_demoted;
+  t.links_restored = ns.links_restored;
+  t.links_demoted_end = static_cast<std::uint64_t>(net.demoted_link_count());
+  t.link_probes = ns.link_probes;
+  t.link_probations = ns.link_probations;
+  t.degradation_active_end = net.degradation_active() ? 1 : 0;
+  if (injector != nullptr) {
+    t.faults_injected = injector->stats().activations;
+    t.lifecycle_deaths = injector->stats().lifecycle_deaths;
+    t.lifecycle_spares = injector->stats().lifecycle_spares;
+  }
+  t.sim_events = sim.processed_count();
+  t.sim_peak_pending = sim.peak_pending_count();
+  const QueueStats& qs = sim.queue_stats();
+  t.sim_tombstones_purged = qs.tombstones_purged;
+  t.sim_max_entries = qs.max_entries;
+}
+
 EpisodeEngine::EpisodeEngine(const CoverageSchedule& schedule,
                              ProtocolConfig config, bool opportunity_adaptive)
     : schedule_(&schedule), config_(config), oaq_(opportunity_adaptive) {
@@ -34,26 +85,7 @@ EpisodeResult EpisodeEngine::run(TimePoint signal_start,
           : nullptr;
 
   Simulator sim;
-  CrosslinkNetwork::Options net_opt;
-  net_opt.min_delay = config_.delta * 0.3;
-  net_opt.max_delay = config_.delta;
-  net_opt.loss_probability = config_.crosslink_loss_probability;
-  net_opt.lossless_to_ground = true;
-  net_opt.reliable = config_.reliable_links;
-  net_opt.retry_limit = config_.link_retry_limit;
-  net_opt.backoff_base = config_.link_backoff_base;
-  if (config_.self_healing_links) {
-    net_opt.health.enabled = true;
-    net_opt.health.alpha = config_.link_health_alpha;
-    net_opt.health.demote_below = config_.link_demote_below;
-    net_opt.health.restore_above = config_.link_restore_above;
-    net_opt.health.probation = config_.link_probation;
-    net_opt.health.probation_backoff = config_.link_probation_backoff;
-    // τ-feasibility: escalating probations never push a probe past the
-    // alert deadline's useful horizon.
-    net_opt.health.probation_cap = config_.tau;
-  }
-  CrosslinkNetwork net(sim, net_opt, rng.fork(0x6e6574));
+  CrosslinkNetwork net(sim, crosslink_options(config_), rng.fork(0x6e6574));
   net.set_trace(trace, episode_id);
   if (hooks != nullptr) net.set_ledger(hooks->ledger);
 
@@ -107,34 +139,8 @@ EpisodeResult EpisodeEngine::run(TimePoint signal_start,
   episode.finalize();
 
   EpisodeResult result = episode.result();
-  const NetworkStats& net_stats = net.stats();
-  result.telemetry.messages_sent = net_stats.sent;
-  result.telemetry.messages_delivered = net_stats.delivered;
-  result.telemetry.messages_dropped_loss = net_stats.dropped_loss;
-  result.telemetry.messages_dropped_dead = net_stats.dropped_dead_sender +
-                                           net_stats.dropped_dead_receiver +
-                                           net_stats.dropped_unregistered;
-  result.telemetry.messages_dropped_link = net_stats.dropped_link;
-  result.telemetry.retries = net_stats.retries;
-  result.telemetry.retries_exhausted = net_stats.retries_exhausted;
-  result.telemetry.links_demoted = net_stats.links_demoted;
-  result.telemetry.links_restored = net_stats.links_restored;
-  result.telemetry.links_demoted_end =
-      static_cast<std::uint64_t>(net.demoted_link_count());
-  result.telemetry.link_probes = net_stats.link_probes;
-  result.telemetry.link_probations = net_stats.link_probations;
-  result.telemetry.degradation_active_end =
-      net.degradation_active() ? 1 : 0;
-  if (injector) {
-    result.telemetry.faults_injected = injector->stats().activations;
-    result.telemetry.lifecycle_deaths = injector->stats().lifecycle_deaths;
-    result.telemetry.lifecycle_spares = injector->stats().lifecycle_spares;
-  }
-  result.telemetry.sim_events = sim.processed_count();
-  result.telemetry.sim_peak_pending = sim.peak_pending_count();
-  const QueueStats& qs = sim.queue_stats();
-  result.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-  result.telemetry.sim_max_entries = qs.max_entries;
+  record_telemetry(result.telemetry, net, sim,
+                   injector ? &*injector : nullptr);
 
   if (hooks != nullptr && hooks->invariants != nullptr) {
     hooks->invariants->check_episode(episode_id, result, config_);

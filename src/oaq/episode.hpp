@@ -95,7 +95,7 @@ struct ProtocolConfig {
 };
 
 /// Infrastructure-level telemetry of one episode run, filled by
-/// EpisodeEngine::run from the network and DES kernel counters — the raw
+/// record_telemetry from the network and DES kernel counters — the raw
 /// material of the harness-level metrics registry.
 struct EpisodeTelemetry {
   std::uint64_t messages_sent = 0;       ///< crosslink + downlink sends
@@ -159,8 +159,21 @@ struct EpisodeResult {
 };
 
 class FaultPlan;         // src/fault/plan.hpp
+class FaultInjector;     // src/fault/injector.hpp
 class InvariantChecker;  // src/fault/invariants.hpp
 class EpisodeLedger;     // src/obs/ledger.hpp
+
+/// The crosslink model every protocol engine derives from `cfg`: delays
+/// in [0.3δ, δ], crosslink loss with lossless downlinks, the retry policy,
+/// and — with self-healing links — the health estimator, whose probation
+/// is capped by τ so probes stay τ-feasible.
+[[nodiscard]] CrosslinkNetwork::Options crosslink_options(
+    const ProtocolConfig& cfg);
+
+/// Copy one finished episode's network, DES and injector counters into
+/// `t` (`injector` is nullable: no plan armed).
+void record_telemetry(EpisodeTelemetry& t, const CrosslinkNetwork& net,
+                      const Simulator& sim, const FaultInjector* injector);
 
 /// Optional fault-injection hooks of one episode run. The plan's clause
 /// times are relative to the signal start; the checker (when attached)

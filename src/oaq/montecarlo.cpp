@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "fault/invariants.hpp"
-#include "fault/plan.hpp"
-#include "obs/ledger.hpp"
 #include "oaq/batch_episode.hpp"
+#include "oaq/montecarlo_internal.hpp"
 #include "oaq/pooled_episode.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 
@@ -23,36 +20,6 @@ std::int64_t checked_add(std::int64_t a, std::int64_t b) {
               "episode statistics counter overflow");
   return out;
 }
-
-/// Private per-shard tallies; merging in shard order is exact because every
-/// field is integral (DiscretePmf weights are integer-valued doubles) and
-/// MetricsRegistry merges counters integrally / stats via the same
-/// left-to-right Chan fold as RunningStat.
-struct EpisodeAccum {
-  DiscretePmf level_pmf;
-  std::int64_t duplicates = 0;
-  std::int64_t unresolved = 0;
-  std::int64_t untimely = 0;
-  std::int64_t detected = 0;
-  std::int64_t chain_sum = 0;
-  int max_chain_length = 0;
-  MetricsRegistry metrics;  ///< shard-local; empty when metrics are off
-  InvariantChecker invariants;  ///< shard-local; idle when checks are off
-  EpisodeLedger ledger;  ///< shard-local; untouched when no sink is attached
-
-  void merge(EpisodeAccum&& other) {
-    level_pmf.merge(other.level_pmf);
-    duplicates = checked_add(duplicates, other.duplicates);
-    unresolved = checked_add(unresolved, other.unresolved);
-    untimely = checked_add(untimely, other.untimely);
-    detected = checked_add(detected, other.detected);
-    chain_sum = checked_add(chain_sum, other.chain_sum);
-    max_chain_length = std::max(max_chain_length, other.max_chain_length);
-    metrics.merge(other.metrics);
-    invariants.merge(other.invariants);
-    ledger.merge(other.ledger);
-  }
-};
 
 /// Record one episode's outcome into a shard-local registry. Every value
 /// derives from the episode result / telemetry (simulation time), so the
@@ -124,279 +91,80 @@ void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r,
 
 }  // namespace
 
-SimulatedQos simulate_qos(const QosSimulationConfig& config) {
-  OAQ_REQUIRE(config.k > 0, "need at least one satellite");
-  OAQ_REQUIRE(config.episodes > 0, "need at least one episode");
-  OAQ_REQUIRE(config.mu > Rate::zero(), "termination rate must be positive");
+namespace detail {
 
-  const Rng master(config.seed);
-  const Rng episode_rng = master.fork(3);
-  const std::shared_ptr<const DurationDistribution> duration_law =
-      config.duration_distribution
-          ? config.duration_distribution
-          : std::make_shared<ExponentialDuration>(config.mu);
+int qos_shard_count(const QosSimulationConfig& config) {
+  return static_cast<int>(
+      std::min<std::int64_t>(kQosEpisodeShards, config.episodes));
+}
 
-  // Fixed signal start well inside the horizon; the pass-pattern phase is
-  // randomized instead (equivalent by stationarity).
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  const Duration tr = config.geometry.tr(config.k);
+std::shared_ptr<const DurationDistribution> qos_duration_law(
+    const QosSimulationConfig& config) {
+  return config.duration_distribution
+             ? config.duration_distribution
+             : std::make_shared<ExponentialDuration>(config.mu);
+}
 
-  // Tracing: one ring buffer per shard, sized up front. A shard's stream
-  // depends only on its episode indices (episodes within a shard run
-  // sequentially), so the shard-order JSONL export is bit-identical for
-  // any jobs value.
-  const int n_shards = static_cast<int>(std::min<std::int64_t>(
-      kQosEpisodeShards, config.episodes));  // parallel_reduce's own clamp
-  if (config.trace != nullptr) config.trace->prepare(n_shards);
+Duration qos_phase_period(const QosSimulationConfig& config) {
+  return config.constellation != nullptr ? config.constellation->max_period()
+                                         : config.geometry.tr(config.k);
+}
+
+Duration qos_visibility_quantum(const QosSimulationConfig& config) {
+  return qos_signal_start().since_origin() +
+         config.constellation->max_period() + config.protocol.tau +
+         Duration::hours(2);
+}
+
+EpisodeDraw draw_episode(const Rng& episode_rng, std::int64_t e,
+                         Duration period, const DurationDistribution& law) {
+  const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
+  Rng phase_rng = ep.fork(1);
+  Rng duration_rng = ep.fork(2);
+  const Duration phase = phase_rng.uniform(Duration::zero(), period);
+  return {phase, law.sample(duration_rng), ep.fork(3)};
+}
+
+void EpisodeAccum::merge(EpisodeAccum&& other) {
+  level_pmf.merge(other.level_pmf);
+  duplicates = checked_add(duplicates, other.duplicates);
+  unresolved = checked_add(unresolved, other.unresolved);
+  untimely = checked_add(untimely, other.untimely);
+  detected = checked_add(detected, other.detected);
+  chain_sum = checked_add(chain_sum, other.chain_sum);
+  max_chain_length = std::max(max_chain_length, other.max_chain_length);
+  metrics.merge(other.metrics);
+  invariants.merge(other.invariants);
+  ledger.merge(other.ledger);
+}
+
+EpisodeFold::EpisodeFold(const QosSimulationConfig& config)
+    : want_metrics_(config.metrics != nullptr),
+      queue_metrics_(config.queue_metrics),
+      fault_metrics_(config.fault_plan != nullptr ||
+                     config.protocol.reliable_links ||
+                     config.protocol.self_healing_links),
+      health_metrics_(config.protocol.self_healing_links) {}
+
+void EpisodeFold::operator()(EpisodeAccum& acc, const EpisodeResult& r) const {
+  acc.level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
+  if (r.alerts_sent > 1) ++acc.duplicates;
+  if (!r.all_participants_resolved) ++acc.unresolved;
+  if (r.alert_delivered && !r.timely) ++acc.untimely;
+  if (r.detected) {
+    ++acc.detected;
+    acc.chain_sum = checked_add(acc.chain_sum, r.chain_length);
+    acc.max_chain_length = std::max(acc.max_chain_length, r.chain_length);
+  }
+  if (want_metrics_) {
+    record_episode_metrics(acc.metrics, r, queue_metrics_, fault_metrics_,
+                           health_metrics_);
+  }
+}
+
+SimulatedQos finish_qos(const QosSimulationConfig& config,
+                        EpisodeAccum&& total) {
   const bool want_metrics = config.metrics != nullptr;
-
-  // Span profiling mirrors the trace layout: one arena per shard plus the
-  // main arena for the calling thread's work (seed/freeze, merge). The
-  // root span brackets the whole experiment.
-  if (config.spans != nullptr) config.spans->prepare(n_shards);
-  SpanArena* main_spans =
-      config.spans != nullptr ? config.spans->main_arena() : nullptr;
-  const ScopedSpan root_span(main_spans, "simulate_qos");
-
-  // Every random stream an episode consumes (phase, duration, protocol
-  // noise) derives from episode_rng.fork(e): episode e's outcome does not
-  // depend on which shard — or thread — runs it, making the reduction
-  // bit-identical for any jobs value. In geometric mode the schedule is
-  // shard-shared (backed by the shard's VisibilityCache) and the phase
-  // jitters the episode's start time instead of the pass pattern.
-  const bool geometric = config.constellation != nullptr;
-  const bool fault_metrics = config.fault_plan != nullptr ||
-                             config.protocol.reliable_links ||
-                             config.protocol.self_healing_links;
-  const bool health_metrics = config.protocol.self_healing_links;
-  // Shared between the scalar loop and the batch engine's sink so both
-  // paths fold results — and observe metrics — in exactly the same order.
-  const auto accumulate = [&](EpisodeAccum& acc, const EpisodeResult& r) {
-    acc.level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
-    if (r.alerts_sent > 1) ++acc.duplicates;
-    if (!r.all_participants_resolved) ++acc.unresolved;
-    if (r.alert_delivered && !r.timely) ++acc.untimely;
-    if (r.detected) {
-      ++acc.detected;
-      acc.chain_sum = checked_add(acc.chain_sum, r.chain_length);
-      acc.max_chain_length = std::max(acc.max_chain_length, r.chain_length);
-    }
-    if (want_metrics) {
-      record_episode_metrics(acc.metrics, r, config.queue_metrics,
-                             fault_metrics, health_metrics);
-    }
-  };
-  const auto run_episode = [&](std::int64_t e, EpisodeAccum& acc,
-                               ShardTraceBuffer* trace,
-                               const GeometricSchedule* geo_schedule) {
-    const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
-    Rng phase_rng = ep.fork(1);
-    Rng duration_rng = ep.fork(2);
-    Rng protocol_rng = ep.fork(3);
-    const Duration phase = phase_rng.uniform(
-        Duration::zero(),
-        // Jitter over the longest shell period so every shell's pass
-        // pattern is phase-randomized (= design().period single-shell).
-        geometric ? config.constellation->max_period() : tr);
-    const Duration duration = duration_law->sample(duration_rng);
-    EpisodeFaultHooks hooks;
-    hooks.plan = config.fault_plan;
-    hooks.invariants = config.check_invariants ? &acc.invariants : nullptr;
-    hooks.ledger = config.ledger != nullptr ? &acc.ledger : nullptr;
-    const EpisodeFaultHooks* hooks_ptr =
-        config.fault_plan != nullptr || config.check_invariants ||
-                config.ledger != nullptr
-            ? &hooks
-            : nullptr;
-    EpisodeResult r;
-    if (geometric) {
-      const EpisodeEngine engine(*geo_schedule, config.protocol,
-                                 config.opportunity_adaptive);
-      r = engine.run(signal_start + phase, duration, protocol_rng,
-                     /*faults=*/{}, /*known_failed=*/{}, trace,
-                     static_cast<int>(e), hooks_ptr);
-    } else {
-      const AnalyticSchedule schedule(config.geometry, config.k, phase);
-      const EpisodeEngine engine(schedule, config.protocol,
-                                 config.opportunity_adaptive);
-      r = engine.run(signal_start, duration, protocol_rng, /*faults=*/{},
-                     /*known_failed=*/{}, trace, static_cast<int>(e),
-                     hooks_ptr);
-    }
-
-    accumulate(acc, r);
-  };
-
-  // The quantum is sized to cover every episode window (start jitter ≤ one
-  // period, pass horizon ≤ signal cap + τ + post-roll), so virtually every
-  // episode query quantizes to the same [0, quantum] window — one Kepler
-  // sweep serves the whole run.
-  VisibilityCache::Options vopt;
-  if (geometric) {
-    vopt.window_quantum = signal_start.since_origin() +
-                          config.constellation->max_period() +
-                          config.protocol.tau + Duration::hours(2);
-  }
-
-  // The satellite set every pooled shard registers — computed once on the
-  // calling thread (it is identical for every shard; the shards' dense
-  // network tables are still first-touched on their own threads).
-  std::vector<SatelliteId> pooled_satellites;
-  if (geometric && config.pooled_episodes) {
-    pooled_satellites = config.constellation->active_satellites();
-  }
-
-  // Shared mode: that one sweep is computed ONCE on the calling thread
-  // (seed), frozen, and then read lock-free by every shard — instead of
-  // once per shard with private caches. Cached values are pure functions
-  // of the query either way, so both modes are bit-identical at any jobs.
-  std::optional<SharedVisibilityCache> shared_cache;
-  SeedFreezeHook seed_hook;
-  int seed_executors = 0;
-  if (geometric && config.shared_visibility) {
-    shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    seed_hook.seed = [&shared_cache, &config, &vopt, &seed_executors,
-                      main_spans] {
-      const ScopedSpan span(main_spans, "visibility_seed");
-      // Single-target runs seed serially (seed_windows degrades to the
-      // plain loop); the fan-out pays off for multi-target workloads.
-      seed_executors = shared_cache->seed_windows(
-          {config.target}, Duration::zero(), vopt.window_quantum,
-          config.jobs);
-    };
-    seed_hook.freeze = [&shared_cache, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_freeze");
-      shared_cache->freeze();
-    };
-  }
-
-  EpisodeAccum total = parallel_reduce<EpisodeAccum>(
-      config.episodes, n_shards, config.jobs,
-      [&](std::int64_t begin, std::int64_t end, int shard) {
-        EpisodeAccum acc;
-        ShardTraceBuffer* trace =
-            config.trace != nullptr ? config.trace->shard(shard) : nullptr;
-        SpanArena* spans = config.spans != nullptr
-                               ? config.spans->shard_arena(shard)
-                               : nullptr;
-        const ScopedSpan shard_span(spans, "shard");
-        if (!geometric && config.batch_episodes) {
-          // SoA batch path: one reusable DES context per shard, closed-form
-          // escape retirement, results delivered in episode order — the
-          // same fold as the scalar loop below, byte for byte.
-          BatchEpisodeEngine engine(config.geometry, config.k,
-                                    config.protocol,
-                                    config.opportunity_adaptive,
-                                    *duration_law, episode_rng, signal_start,
-                                    config.fault_plan);
-          engine.run(begin, end, trace,
-                     config.check_invariants ? &acc.invariants : nullptr,
-                     [&](std::int64_t, const EpisodeResult& r) {
-                       accumulate(acc, r);
-                     },
-                     spans,
-                     config.ledger != nullptr ? &acc.ledger : nullptr);
-          if (want_metrics && config.batch_metrics) {
-            const BatchEpisodeStats& bs = engine.stats();
-            acc.metrics.add("sim.batch.batches",
-                            static_cast<std::int64_t>(bs.batches));
-            acc.metrics.add("sim.batch.episodes",
-                            static_cast<std::int64_t>(bs.episodes));
-            acc.metrics.add("sim.batch.escaped",
-                            static_cast<std::int64_t>(bs.escaped));
-            acc.metrics.add("sim.batch.des_lanes",
-                            static_cast<std::int64_t>(bs.des_lanes));
-            for (std::size_t i = 0; i < bs.occupancy.size(); ++i) {
-              acc.metrics.add(
-                  "sim.batch.occupancy." + std::to_string(i),
-                  static_cast<std::int64_t>(bs.occupancy[i]));
-            }
-          }
-          return acc;
-        }
-        // Per-shard schedule over either the frozen shared cache (with
-        // shard-local stats — hit accounting is per-shard deterministic)
-        // or a shard-private VisibilityCache.
-        VisibilityCacheStats shared_stats;
-        std::optional<VisibilityCache> cache;
-        std::optional<GeometricSchedule> geo_schedule;
-        if (shared_cache) {
-          geo_schedule.emplace(*shared_cache, config.target, &shared_stats);
-        } else if (geometric) {
-          cache.emplace(*config.constellation, config.earth_rotation, vopt);
-          geo_schedule.emplace(*cache, config.target);
-        }
-        // One "episodes" span per shard, items = episode count: per-episode
-        // spans would cost two clock reads each (the span_overhead gate).
-        {
-          const ScopedSpan episodes_span(spans, "episodes");
-          if (spans != nullptr) spans->add_items(end - begin);
-          if (geo_schedule && config.pooled_episodes) {
-            // Pooled geometric path: one reusable DES context per shard
-            // (the geometric sibling of the batch engine above), fed the
-            // exact per-episode streams the scalar loop forks — the fold
-            // below is byte-identical to run_episode's.
-            PooledEpisodeRunner runner(*geo_schedule, pooled_satellites,
-                                       config.protocol,
-                                       config.opportunity_adaptive,
-                                       config.fault_plan);
-            InvariantChecker* inv =
-                config.check_invariants ? &acc.invariants : nullptr;
-            for (std::int64_t e = begin; e < end; ++e) {
-              const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
-              Rng phase_rng = ep.fork(1);
-              Rng duration_rng = ep.fork(2);
-              const Duration phase = phase_rng.uniform(
-                  Duration::zero(), config.constellation->max_period());
-              const Duration duration = duration_law->sample(duration_rng);
-              accumulate(acc,
-                         runner.run_episode(e, ep.fork(3),
-                                            signal_start + phase, duration,
-                                            trace, inv));
-            }
-          } else {
-            for (std::int64_t e = begin; e < end; ++e) {
-              run_episode(e, acc, trace,
-                          geo_schedule ? &*geo_schedule : nullptr);
-            }
-          }
-        }
-        if (geometric && want_metrics) {
-          const VisibilityCacheStats& vs =
-              shared_cache ? shared_stats : cache->stats();
-          acc.metrics.add("visibility.pass_queries",
-                          static_cast<std::int64_t>(vs.pass_queries));
-          acc.metrics.add("visibility.pass_hits",
-                          static_cast<std::int64_t>(vs.pass_hits));
-          if (!shared_cache) {
-            acc.metrics.add("visibility.cache_entries",
-                            static_cast<std::int64_t>(cache->entry_count()));
-          }
-        }
-        return acc;
-      },
-      [main_spans](EpisodeAccum& into, EpisodeAccum&& from) {
-        // Runs on the calling thread in both the inline and pooled paths,
-        // exactly n_shards - 1 times — the span count is jobs-independent.
-        const ScopedSpan span(main_spans, "merge");
-        into.merge(std::move(from));
-      },
-      config.profile, shared_cache ? &seed_hook : nullptr);
-
-  if (shared_cache && want_metrics) {
-    // Global cache size, added once after the reduce (a per-shard export
-    // would multiply the shared count by the shard count).
-    total.metrics.add(
-        "visibility.cache_entries",
-        static_cast<std::int64_t>(shared_cache->frozen_entries() +
-                                  shared_cache->overflow_entries()));
-    if (seed_executors > 1) {
-      // Emitted only when the seed phase actually fanned out, so
-      // single-target runs — and the golden metrics files — see no new key.
-      total.metrics.add("visibility.seed_parallel", seed_executors);
-    }
-  }
-
   if (want_metrics && config.check_invariants) {
     // Added once after the reduce, like visibility.cache_entries.
     total.metrics.add(
@@ -427,6 +195,170 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                 static_cast<double>(total.detected)
           : 0.0;
   return out;
+}
+
+}  // namespace detail
+
+SimulatedQos simulate_qos(const QosSimulationConfig& config) {
+  OAQ_REQUIRE(config.k > 0, "need at least one satellite");
+  OAQ_REQUIRE(config.episodes > 0, "need at least one episode");
+  OAQ_REQUIRE(config.mu > Rate::zero(), "termination rate must be positive");
+
+  const Rng episode_rng = Rng(config.seed).fork(3);
+  const std::shared_ptr<const DurationDistribution> duration_law =
+      detail::qos_duration_law(config);
+  const TimePoint signal_start = detail::qos_signal_start();
+
+  // Tracing: one ring buffer per shard, sized up front. A shard's stream
+  // depends only on its episode indices (episodes within a shard run
+  // sequentially), so the shard-order JSONL export is bit-identical for
+  // any jobs value.
+  const int n_shards = detail::qos_shard_count(config);
+  if (config.trace != nullptr) config.trace->prepare(n_shards);
+  const bool want_metrics = config.metrics != nullptr;
+
+  // Span profiling mirrors the trace layout: one arena per shard plus the
+  // main arena for the calling thread's work (seed/freeze, merge). The
+  // root span brackets the whole experiment.
+  if (config.spans != nullptr) config.spans->prepare(n_shards);
+  SpanArena* main_spans =
+      config.spans != nullptr ? config.spans->main_arena() : nullptr;
+  const ScopedSpan root_span(main_spans, "simulate_qos");
+
+  // Every random stream an episode consumes (phase, duration, protocol
+  // noise) derives from episode_rng.fork(e): episode e's outcome does not
+  // depend on which shard — or thread — runs it, making the reduction
+  // bit-identical for any jobs value. In geometric mode the schedule reads
+  // the run-wide shared visibility cache and the phase jitters the
+  // episode's start time instead of the pass pattern.
+  const bool geometric = config.constellation != nullptr;
+  const detail::EpisodeFold fold(config);
+
+  // Geometric mode computes the one covering sweep ONCE on the calling
+  // thread (seed), freezes it, and every shard then reads it lock-free
+  // with shard-local hit stats — cached values are pure functions of the
+  // query, so the results are bit-identical at any jobs. The satellite
+  // set every shard's arena registers is computed here too (the shards'
+  // dense network tables are still first-touched on their own threads).
+  std::optional<SharedVisibilityCache> shared_cache;
+  std::vector<SatelliteId> satellites;
+  SeedFreezeHook seed_hook;
+  int seed_executors = 0;
+  if (geometric) {
+    VisibilityCache::Options vopt;
+    vopt.window_quantum = detail::qos_visibility_quantum(config);
+    shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
+    satellites = config.constellation->active_satellites();
+    seed_hook.seed = [&shared_cache, &config, quantum = vopt.window_quantum,
+                      &seed_executors, main_spans] {
+      const ScopedSpan span(main_spans, "visibility_seed");
+      // Single-target runs seed serially (seed_windows degrades to the
+      // plain loop); the fan-out pays off for multi-target workloads.
+      seed_executors = shared_cache->seed_windows(
+          {config.target}, Duration::zero(), quantum, config.jobs);
+    };
+    seed_hook.freeze = [&shared_cache, main_spans] {
+      const ScopedSpan span(main_spans, "visibility_freeze");
+      shared_cache->freeze();
+    };
+  }
+
+  detail::EpisodeAccum total = parallel_reduce<detail::EpisodeAccum>(
+      config.episodes, n_shards, config.jobs,
+      [&](std::int64_t begin, std::int64_t end, int shard) {
+        detail::EpisodeAccum acc;
+        ShardTraceBuffer* trace =
+            config.trace != nullptr ? config.trace->shard(shard) : nullptr;
+        SpanArena* spans = config.spans != nullptr
+                               ? config.spans->shard_arena(shard)
+                               : nullptr;
+        InvariantChecker* invariants =
+            config.check_invariants ? &acc.invariants : nullptr;
+        EpisodeLedger* ledger =
+            config.ledger != nullptr ? &acc.ledger : nullptr;
+        const ScopedSpan shard_span(spans, "shard");
+        if (!geometric) {
+          // SoA batch path: closed-form escape retirement, armed lanes
+          // drained through the shard's arena, results delivered in
+          // episode order.
+          BatchEpisodeEngine engine(config.geometry, config.k,
+                                    config.protocol,
+                                    config.opportunity_adaptive,
+                                    *duration_law, episode_rng, signal_start,
+                                    config.fault_plan);
+          engine.run(begin, end, trace, invariants,
+                     [&](std::int64_t, const EpisodeResult& r) {
+                       fold(acc, r);
+                     },
+                     spans, ledger);
+          if (want_metrics && config.batch_metrics) {
+            const BatchEpisodeStats& bs = engine.stats();
+            acc.metrics.add("sim.batch.batches",
+                            static_cast<std::int64_t>(bs.batches));
+            acc.metrics.add("sim.batch.episodes",
+                            static_cast<std::int64_t>(bs.episodes));
+            acc.metrics.add("sim.batch.escaped",
+                            static_cast<std::int64_t>(bs.escaped));
+            acc.metrics.add("sim.batch.des_lanes",
+                            static_cast<std::int64_t>(bs.des_lanes));
+            for (std::size_t i = 0; i < bs.occupancy.size(); ++i) {
+              acc.metrics.add(
+                  "sim.batch.occupancy." + std::to_string(i),
+                  static_cast<std::int64_t>(bs.occupancy[i]));
+            }
+          }
+          return acc;
+        }
+        VisibilityCacheStats shared_stats;
+        const GeometricSchedule schedule(*shared_cache, config.target,
+                                         &shared_stats);
+        // One "episodes" span per shard, items = episode count: per-episode
+        // spans would cost two clock reads each (the span_overhead gate).
+        {
+          const ScopedSpan episodes_span(spans, "episodes");
+          if (spans != nullptr) spans->add_items(end - begin);
+          PooledEpisodeRunner runner(schedule, satellites, config.protocol,
+                                     config.opportunity_adaptive,
+                                     config.fault_plan);
+          const Duration period = detail::qos_phase_period(config);
+          for (std::int64_t e = begin; e < end; ++e) {
+            const detail::EpisodeDraw d =
+                detail::draw_episode(episode_rng, e, period, *duration_law);
+            fold(acc, runner.run_episode(e, d.protocol,
+                                         signal_start + d.phase, d.duration,
+                                         trace, invariants, ledger));
+          }
+        }
+        if (want_metrics) {
+          acc.metrics.add("visibility.pass_queries",
+                          static_cast<std::int64_t>(shared_stats.pass_queries));
+          acc.metrics.add("visibility.pass_hits",
+                          static_cast<std::int64_t>(shared_stats.pass_hits));
+        }
+        return acc;
+      },
+      [main_spans](detail::EpisodeAccum& into, detail::EpisodeAccum&& from) {
+        // Runs on the calling thread in both the inline and pooled paths,
+        // exactly n_shards - 1 times — the span count is jobs-independent.
+        const ScopedSpan span(main_spans, "merge");
+        into.merge(std::move(from));
+      },
+      config.profile, geometric ? &seed_hook : nullptr);
+
+  if (geometric && want_metrics) {
+    // Global cache size, added once after the reduce (a per-shard export
+    // would multiply the shared count by the shard count).
+    total.metrics.add(
+        "visibility.cache_entries",
+        static_cast<std::int64_t>(shared_cache->frozen_entries() +
+                                  shared_cache->overflow_entries()));
+    if (seed_executors > 1) {
+      // Emitted only when the seed phase actually fanned out, so
+      // single-target runs — and the golden metrics files — see no new key.
+      total.metrics.add("visibility.seed_parallel", seed_executors);
+    }
+  }
+  return detail::finish_qos(config, std::move(total));
 }
 
 }  // namespace oaq

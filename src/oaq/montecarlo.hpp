@@ -2,7 +2,12 @@
 //
 // Reproduces P(Y = y | k) by simulation of the actual protocol — the
 // cross-validation counterpart of the closed-form model in src/analytic
-// (DESIGN.md experiment E10).
+// (DESIGN.md experiment E10). Every episode runs through one per-shard
+// arena (PooledEpisodeRunner): analytic runs reach it through the SoA
+// batch engine's escape prologue (BatchEpisodeEngine), geometric runs
+// drive it directly over one run-wide shared visibility cache. The
+// scalar per-episode oracle these paths are pinned against lives in test
+// code (tests/support/qos_oracle.hpp).
 #pragma once
 
 #include <cstdint>
@@ -48,50 +53,29 @@ struct QosSimulationConfig {
   // --- Geometric mode (optional). When `constellation` is set, episodes
   // run against real orbital geometry (GeometricSchedule over `target`)
   // instead of the analytic timing diagram; `geometry`/`k` no longer
-  // shape the pass pattern. Each shard owns a VisibilityCache, so the
-  // Kepler-heavy pass extraction is paid per distinct (quantized) window
-  // rather than per episode — and results stay bit-identical for any
-  // `jobs` value because cached results are pure functions of the query.
-  // Episode start times are jittered uniformly over one orbital period
-  // (the PASTA phase randomization of the analytic mode). ---
+  // shape the pass pattern. One visibility cache is seeded once per run
+  // on the calling thread, frozen, and read lock-free by every shard, so
+  // the Kepler-heavy pass extraction is paid per distinct (quantized)
+  // window rather than per episode or per shard — and results stay
+  // bit-identical for any `jobs` value because cached results are pure
+  // functions of the query. Episode start times are jittered uniformly
+  // over one orbital period (the PASTA phase randomization of the
+  // analytic mode). ---
   const Constellation* constellation = nullptr;
   GeoPoint target{};
   bool earth_rotation = false;
-  /// Share one seed-then-frozen visibility cache across all shards (the
-  /// common episode window is computed once per run instead of once per
-  /// shard). `false` restores the shard-private VisibilityCache path —
-  /// results are bit-identical either way (both caches quantize and
-  /// compute windows identically); the knob exists for A/B benchmarking.
-  bool shared_visibility = true;
 
   /// Export the DES ready-queue telemetry (`sim.queue.*`: tombstones
   /// purged, heap high-water) into `metrics`. Off by default: the golden
   /// metrics files predate these keys.
   bool queue_metrics = false;
 
-  /// Advance analytic-mode episodes through the SoA batch engine
-  /// (BatchEpisodeEngine, DESIGN.md §12): per-shard reusable DES contexts
-  /// and closed-form escape retirement instead of per-episode
-  /// construction. Results — counts, traces, metrics — are byte-identical
-  /// to the scalar loop for any `jobs` value; the scalar path is retained
-  /// as the oracle and still serves geometric mode (which has no
-  /// closed-form escape test).
-  bool batch_episodes = true;
   /// Unread; kept only so existing callers that set it still compile.
   int interleave_width = 0;
   /// Export the batch engine's `sim.batch.*` occupancy counters into
   /// `metrics`. Off by default, like queue_metrics: the golden metrics
   /// files predate these keys.
   bool batch_metrics = false;
-
-  /// Advance geometric-mode episodes through a per-shard pooled DES
-  /// context (PooledEpisodeRunner): one Simulator/CrosslinkNetwork/
-  /// TargetEpisode arena per shard, constructed on the shard's own thread
-  /// and reset per episode, instead of per-episode construction over one
-  /// growing slab. Results — counts, traces, metrics — are byte-identical
-  /// to the scalar loop for any `jobs` value; the scalar path is retained
-  /// as the oracle (bench/constellation_scale measures the gap).
-  bool pooled_episodes = true;
 
   // --- Fault injection (ISSUE 5). ---
   /// Scripted degradation clauses replayed inside every episode (times
@@ -127,12 +111,10 @@ struct QosSimulationConfig {
   /// --spans.
   SpanProfiler* spans = nullptr;
   /// Receives the merged per-episode attribution ledger: every final
-  /// drop, retry, and fault activation keyed by episode id. Served by the
-  /// scalar and batched analytic engines and the scalar geometric engine
-  /// (the pooled geometric arena does not attribute; disable
-  /// `pooled_episodes` to collect rows in geometric mode). Rows are
-  /// additive counters folded shard-wise in shard order, so the ledger
-  /// bytes are identical for any jobs value.
+  /// drop, retry, and fault activation keyed by episode id, in analytic
+  /// and geometric mode alike. Rows are additive counters folded
+  /// shard-wise in shard order, so the ledger bytes are identical for any
+  /// jobs value.
   EpisodeLedger* ledger = nullptr;
 };
 

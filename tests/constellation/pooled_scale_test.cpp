@@ -1,8 +1,9 @@
 // Sharded-simulator campaigns at constellation scale (ISSUE 8 tentpole):
 // the pooled per-shard DES context must be byte-identical to the scalar
-// per-episode oracle — results, traces, and metrics — for any job count,
-// on the paper's reference preset, a published mega-constellation design
-// point, and a multi-shell composition.
+// per-episode oracle (simulate_qos_oracle) — results, traces, and metrics
+// less the cache-dependent visibility.* keys — for any job count, on the
+// paper's reference preset, a published mega-constellation design point,
+// and a multi-shell composition.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
 #include "orbit/constellation_builder.hpp"
+#include "qos_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -34,19 +36,22 @@ struct RunOutput {
   std::string metrics;
 };
 
-RunOutput run(QosSimulationConfig cfg) {
+/// One run through simulate_qos or, with `oracle`, the scalar oracle.
+/// Oracle comparisons pass `drop_visibility`: the visibility.* keys' hit
+/// accounting depends on the cache (ExportsCacheHitMetrics and
+/// WarmSharedCacheHitAccountingPreserved pin them).
+RunOutput run(QosSimulationConfig cfg, bool oracle = false,
+              bool drop_visibility = false) {
   TraceCollector trace;
   MetricsRegistry metrics;
   cfg.trace = &trace;
   cfg.metrics = &metrics;
   RunOutput out;
-  out.qos = simulate_qos(cfg);
+  out.qos = oracle ? simulate_qos_oracle(cfg) : simulate_qos(cfg);
   std::ostringstream os;
   trace.write_jsonl(os);
   out.trace = os.str();
-  std::ostringstream ms;
-  metrics.write_json(ms);
-  out.metrics = ms.str();
+  out.metrics = metrics_json(metrics, drop_visibility);
   return out;
 }
 
@@ -83,16 +88,14 @@ Constellation two_shell_constellation() {
 }
 
 TEST(PooledEpisodes, MatchesScalarOracleByteForByte) {
-  // The pooled path is a wall-clock optimization only: disabling it (the
-  // scalar per-episode oracle) must reproduce results, traces, and
-  // metrics byte-for-byte on the paper's reference design.
+  // The pooled path is a wall-clock optimization only: the scalar
+  // per-episode oracle must reproduce results, traces, and metrics
+  // byte-for-byte on the paper's reference design.
   const Constellation c = ConstellationBuilder::preset("reference").build();
   QosSimulationConfig cfg = geometric_config(c);
   cfg.jobs = 4;
-  cfg.pooled_episodes = true;
-  const RunOutput pooled = run(cfg);
-  cfg.pooled_episodes = false;
-  const RunOutput scalar = run(cfg);
+  const RunOutput pooled = run(cfg, /*oracle=*/false, /*drop_visibility=*/true);
+  const RunOutput scalar = run(cfg, /*oracle=*/true, /*drop_visibility=*/true);
   EXPECT_GT(pooled.qos.episodes, 0);
   expect_equal(pooled, scalar, "pooled vs scalar");
 }
@@ -118,10 +121,8 @@ TEST(PooledEpisodes, MatchesScalarOracleUnderFaultPlan) {
   cfg.fault_plan = &plan;
   cfg.check_invariants = true;
   cfg.jobs = 4;
-  cfg.pooled_episodes = true;
-  const RunOutput pooled = run(cfg);
-  cfg.pooled_episodes = false;
-  const RunOutput scalar = run(cfg);
+  const RunOutput pooled = run(cfg, /*oracle=*/false, /*drop_visibility=*/true);
+  const RunOutput scalar = run(cfg, /*oracle=*/true, /*drop_visibility=*/true);
   expect_equal(pooled, scalar, "pooled vs scalar under plan");
   EXPECT_EQ(pooled.qos.invariant_violations, 0);
 }

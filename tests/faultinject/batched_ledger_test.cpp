@@ -1,19 +1,24 @@
-// Attribution ledger under batched drains: simulate's per-episode ledger
-// must be byte-identical whether armed episodes drain through the batch
-// engine or the scalar oracle — and, under randomized fault storms with
-// lossy reliable links, every row must reconcile exactly with the trace's
-// attributed drop/retry/fault events while the sharpened per-episode I7
-// audit stays free of false violations.
+// Attribution ledger under pooled drains: simulate's per-episode ledger
+// must be byte-identical to the scalar oracle's (simulate_qos_oracle), in
+// analytic mode (batch engine) and geometric mode (pooled arena) alike —
+// and, under fault storms with lossy reliable links, every row must
+// reconcile exactly with the trace's attributed drop/retry/fault events
+// while the sharpened per-episode I7 audit stays free of false
+// violations.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
+#include "orbit/constellation_builder.hpp"
 #include "obs/ledger.hpp"
 #include "obs/trace.hpp"
+#include "qos_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -57,22 +62,38 @@ QosSimulationConfig storm_config(const FaultPlan* plan, std::uint64_t seed) {
   return cfg;
 }
 
+/// The geometric probe: a lossy, faulted run on a 10-satellite polar
+/// shell (fail-silent + burst-loss plan, one retry), drained through the
+/// pooled geometric arena.
+QosSimulationConfig geometric_storm_config(const Constellation& c,
+                                           const FaultPlan* plan) {
+  QosSimulationConfig cfg;
+  cfg.constellation = &c;
+  cfg.target = GeoPoint{0.0, 0.0};
+  cfg.episodes = 400;
+  cfg.seed = 19;
+  cfg.fault_plan = plan;
+  cfg.check_invariants = true;
+  cfg.protocol.computation_cap = cfg.protocol.tg;
+  cfg.protocol.crosslink_loss_probability = 0.3;
+  cfg.protocol.reliable_links = true;
+  cfg.protocol.link_retry_limit = 1;
+  return cfg;
+}
+
 struct StormRun {
   SimulatedQos qos;
   EpisodeLedger ledger;
   std::string trace_jsonl;
 };
 
-StormRun run_storm(const FaultPlan& plan, std::uint64_t seed, int jobs,
-                   bool batched) {
-  QosSimulationConfig cfg = storm_config(&plan, seed);
+StormRun run_storm(QosSimulationConfig cfg, int jobs, bool batched) {
   cfg.jobs = jobs;
-  cfg.batch_episodes = batched;
   TraceCollector trace;
   cfg.trace = &trace;
   StormRun run;
   cfg.ledger = &run.ledger;
-  run.qos = simulate_qos(cfg);
+  run.qos = batched ? simulate_qos(cfg) : simulate_qos_oracle(cfg);
   std::ostringstream os;
   trace.write_jsonl(os);
   run.trace_jsonl = os.str();
@@ -129,8 +150,8 @@ EpisodeLedger ledger_from_trace(const std::string& jsonl) {
 TEST(BatchedLedger, BytesIdenticalToScalarOracleAcrossJobs) {
   Rng rng(6121);
   const FaultPlan plan = ledger_storm(rng, 9);
-  const StormRun scalar = run_storm(plan, /*seed=*/11, /*jobs=*/1,
-                                    /*batched=*/false);
+  const StormRun scalar = run_storm(storm_config(&plan, /*seed=*/11),
+                                    /*jobs=*/1, /*batched=*/false);
   const std::string expected = ledger_json(scalar.ledger);
   EXPECT_NE(expected.find("\"ep\":"), std::string::npos);  // non-trivial
   const LedgerRow totals = scalar.ledger.totals();
@@ -138,31 +159,58 @@ TEST(BatchedLedger, BytesIdenticalToScalarOracleAcrossJobs) {
   EXPECT_GT(totals.retries, 0);
   EXPECT_GT(totals.faults, 0);
   for (const int jobs : {1, 4}) {
-    const StormRun run = run_storm(plan, /*seed=*/11, jobs, /*batched=*/true);
+    const StormRun run = run_storm(storm_config(&plan, /*seed=*/11), jobs,
+                                   /*batched=*/true);
     EXPECT_EQ(ledger_json(run.ledger), expected) << "jobs " << jobs;
     EXPECT_EQ(run.trace_jsonl, scalar.trace_jsonl) << "jobs " << jobs;
   }
 }
 
 TEST(BatchedLedger, RowsReconcileExactlyWithTraceWitness) {
+  // Inputs: three randomized analytic storms and the geometric probe.
+  std::vector<FaultPlan> plans;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng rng(seed * 3307);
-    const FaultPlan plan = ledger_storm(rng, 9);
-    const StormRun run = run_storm(plan, seed, /*jobs=*/2, /*batched=*/true);
+    plans.push_back(ledger_storm(rng, 9));
+  }
+  FaultPlan geometric_plan;
+  geometric_plan.add(FaultPlan::fail_silent({0, 2}, Duration::minutes(1)));
+  geometric_plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(2),
+                                           Duration::minutes(9)));
+  WalkerShell shell;
+  shell.total_sats = 10;
+  shell.planes = 1;
+  shell.phasing = 0;
+  shell.inclination_deg = 90.0;
+  const Constellation polar = ConstellationBuilder().add_shell(shell).build();
+  std::vector<std::pair<std::string, QosSimulationConfig>> inputs;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    inputs.emplace_back("seed " + std::to_string(seed),
+                        storm_config(&plans[seed - 1], seed));
+  }
+  inputs.emplace_back("geometric",
+                      geometric_storm_config(polar, &geometric_plan));
+
+  for (const auto& [label, cfg] : inputs) {
+    const StormRun run = run_storm(cfg, /*jobs=*/2, /*batched=*/true);
+    // The ledger is non-trivial and byte-identical to the oracle's.
+    EXPECT_GT(run.ledger.totals().drops(), 0) << label;
+    const StormRun oracle = run_storm(cfg, /*jobs=*/1, /*batched=*/false);
+    EXPECT_EQ(ledger_json(run.ledger), ledger_json(oracle.ledger)) << label;
     EpisodeLedger witness = ledger_from_trace(run.trace_jsonl);
     witness.reserve(run.ledger.size());
-    ASSERT_EQ(run.ledger.size(), witness.size()) << "seed " << seed;
+    ASSERT_EQ(run.ledger.size(), witness.size()) << label;
     for (std::size_t ep = 0; ep < run.ledger.size(); ++ep) {
       EXPECT_EQ(comparable(run.ledger.row(static_cast<std::int64_t>(ep))),
                 comparable(witness.row(static_cast<std::int64_t>(ep))))
-          << "seed " << seed << " episode " << ep;
+          << label << " episode " << ep;
     }
     EXPECT_EQ(comparable(run.ledger.global_row()),
               comparable(witness.global_row()))
-        << "seed " << seed;
+        << label;
     // Episode-anchored plans replay per episode: nothing may leak into
     // the global row, which campaigns reserve for origin-anchored clauses.
-    EXPECT_FALSE(run.ledger.global_row().any()) << "seed " << seed;
+    EXPECT_FALSE(run.ledger.global_row().any()) << label;
   }
 }
 
@@ -175,7 +223,8 @@ TEST(BatchedLedger, StormsKeepI7AuditCleanUnderBatchedDrains) {
   for (std::uint64_t seed = 4; seed <= 6; ++seed) {
     Rng rng(seed * 7109);
     const FaultPlan plan = ledger_storm(rng, 9);
-    const StormRun run = run_storm(plan, seed, /*jobs=*/4, /*batched=*/true);
+    const StormRun run =
+        run_storm(storm_config(&plan, seed), /*jobs=*/4, /*batched=*/true);
     EXPECT_EQ(run.qos.invariant_violations, 0)
         << "seed " << seed << ": "
         << (run.qos.invariant_samples.empty()

@@ -1,8 +1,8 @@
 // SoA episode batching (ISSUE 6): the batched analytic path must be an
-// observationally perfect stand-in for the scalar per-episode loop —
-// identical trace bytes, metrics bytes, and aggregate statistics — and the
-// closed-form escape classifier must agree with TargetEpisode::arm() on
-// every sampled (phase, duration) pair.
+// observationally perfect stand-in for the scalar per-episode oracle
+// (simulate_qos_oracle) — identical trace bytes, metrics bytes, and
+// aggregate statistics — and the closed-form escape classifier must agree
+// with TargetEpisode::arm() on every sampled (phase, duration) pair.
 #include "oaq/batch_episode.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
+#include "qos_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -41,13 +42,12 @@ struct Snapshot {
 };
 
 Snapshot run(QosSimulationConfig cfg, bool batched) {
-  cfg.batch_episodes = batched;
   TraceCollector trace;
   MetricsRegistry metrics;
   cfg.trace = &trace;
   cfg.metrics = &metrics;
   Snapshot s;
-  s.qos = simulate_qos(cfg);
+  s.qos = batched ? simulate_qos(cfg) : simulate_qos_oracle(cfg);
   std::ostringstream ts;
   trace.write_jsonl(ts);
   s.trace = ts.str();

@@ -9,6 +9,7 @@
 
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
+#include "qos_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -89,19 +90,19 @@ TEST(GeometricMonteCarlo, ResultsAreBitIdenticalAcrossJobs) {
 
 TEST(GeometricMonteCarlo, SharedCacheMatchesPrivateCachesExactly) {
   // The shared frozen cache is a wall-clock optimization only: cached pass
-  // lists are pure functions of the query window, so disabling it (one
-  // private VisibilityCache per shard) must reproduce results and traces
-  // byte-for-byte.
+  // lists are pure functions of the query window, so the scalar oracle
+  // (one private VisibilityCache per shard) must reproduce results and
+  // traces byte-for-byte.
   const Constellation c = small_polar_plane();
   SimulatedQos base;
   std::string base_trace;
   for (const bool shared : {true, false}) {
     QosSimulationConfig cfg = geometric_config(c);
     cfg.jobs = 4;
-    cfg.shared_visibility = shared;
     TraceCollector trace;
     cfg.trace = &trace;
-    const SimulatedQos r = simulate_qos(cfg);
+    const SimulatedQos r =
+        shared ? simulate_qos(cfg) : simulate_qos_oracle(cfg);
     std::ostringstream os;
     trace.write_jsonl(os);
     if (shared) {
@@ -184,36 +185,6 @@ TEST(GeometricCampaign, ReplicationsAreBitIdenticalAcrossJobs) {
     }
     EXPECT_EQ(r.signals, base.signals);
     EXPECT_EQ(r.delivered, base.delivered);
-    EXPECT_EQ(r.mean_latency_min, base.mean_latency_min);
-    for (int y = 0; y <= 3; ++y) {
-      EXPECT_EQ(r.levels.probability(y), base.levels.probability(y));
-    }
-  }
-}
-
-TEST(GeometricCampaign, SharedCacheMatchesPrivateCachesExactly) {
-  const Constellation c = small_polar_plane();
-  CampaignConfig cfg;
-  cfg.constellation = &c;
-  cfg.target = GeoPoint{0.0, 0.0};
-  cfg.k = 10;
-  cfg.signal_arrival_rate = Rate::per_hour(4.0);
-  cfg.horizon = Duration::hours(3);
-  cfg.seed = 9;
-  cfg.replications = 3;
-  cfg.jobs = 3;
-  CampaignResult base;
-  for (const bool shared : {true, false}) {
-    cfg.shared_visibility = shared;
-    const CampaignResult r = run_campaign(cfg);
-    if (shared) {
-      base = r;
-      continue;
-    }
-    EXPECT_EQ(r.signals, base.signals);
-    EXPECT_EQ(r.delivered, base.delivered);
-    EXPECT_EQ(r.untimely, base.untimely);
-    EXPECT_EQ(r.duplicates, base.duplicates);
     EXPECT_EQ(r.mean_latency_min, base.mean_latency_min);
     for (int y = 0; y <= 3; ++y) {
       EXPECT_EQ(r.levels.probability(y), base.levels.probability(y));

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "oaq/montecarlo.hpp"
+#include "qos_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -129,17 +130,18 @@ TEST(SpanProfiler, ChromeExportShape) {
   EXPECT_NE(json.find("\"name\":\"shard-0\""), std::string::npos);
 }
 
-/// Zero-wall span export of one simulate_qos run.
+/// Zero-wall span export of one simulate_qos run (`batch` off: the
+/// scalar oracle, simulate_qos_oracle).
 std::string span_export(int jobs, bool batch) {
   QosSimulationConfig cfg;
   cfg.k = 9;
   cfg.episodes = 2000;
   cfg.seed = 11;
   cfg.jobs = jobs;
-  cfg.batch_episodes = batch;
   SpanProfiler profiler;
   cfg.spans = &profiler;
-  const SimulatedQos qos = simulate_qos(cfg);
+  const SimulatedQos qos =
+      batch ? simulate_qos(cfg) : simulate_qos_oracle(cfg);
   EXPECT_EQ(qos.episodes, cfg.episodes);
   std::ostringstream os;
   profiler.write_chrome_json(os, /*zero_wall=*/true);

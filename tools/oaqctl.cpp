@@ -281,6 +281,19 @@ void append_stochastic_clauses(const Args& args,
   }
 }
 
+/// Flags that selected engine paths which no longer exist. Refused with
+/// an error rather than ignored, so a script asking for the old scalar
+/// path does not silently get the default one.
+void reject_removed_flags(const Args& args) {
+  for (const char* removed : {"no-batch-episodes", "no-pooled-episodes"}) {
+    if (args.flag(removed)) {
+      throw std::invalid_argument(
+          std::string("--") + removed +
+          " was removed: every run uses the pooled episode arena");
+    }
+  }
+}
+
 /// Link-degradation flags shared by simulate and campaign:
 /// --loss P --reliable --retries N --backoff B --self-heal.
 void apply_link_flags(const Args& args, ProtocolConfig& protocol) {
@@ -565,6 +578,7 @@ int run_chaos_sweep(QosSimulationConfig cfg,
 }
 
 int cmd_simulate(const Args& args) {
+  reject_removed_flags(args);
   QosSimulationConfig cfg;
   cfg.k = args.at_least("k", 9, 1);
   cfg.episodes = args.at_least("episodes", 20000, 1);
@@ -580,8 +594,6 @@ int cmd_simulate(const Args& args) {
   // Queue telemetry is deterministic, so the jobs-independence contract of
   // --metrics output holds with it enabled.
   cfg.queue_metrics = true;
-  cfg.batch_episodes = !args.flag("no-batch-episodes");
-  cfg.pooled_episodes = !args.flag("no-pooled-episodes");
   // Batch-engine occupancy counters are pure functions of the episode
   // sequence, so they share queue_metrics' determinism contract.
   cfg.batch_metrics = true;
@@ -641,8 +653,6 @@ int cmd_simulate(const Args& args) {
       "loss", std::to_string(cfg.protocol.crosslink_loss_probability));
   obs.manifest.add_config("reliable",
                           cfg.protocol.reliable_links ? "1" : "0");
-  obs.manifest.add_config("batch_episodes", cfg.batch_episodes ? "1" : "0");
-  obs.manifest.add_config("pooled_episodes", cfg.pooled_episodes ? "1" : "0");
   obs.manifest.add_config("constellation", con ? con->origin : "");
   if (con) {
     obs.manifest.add_config("target_lat_deg",
@@ -679,6 +689,7 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_campaign(const Args& args) {
+  reject_removed_flags(args);
   CampaignConfig cfg;
   cfg.k = args.at_least("k", 9, 1);
   cfg.signal_arrival_rate = Rate::per_hour(args.positive("per-hour", 10.0));
@@ -692,7 +703,6 @@ int cmd_campaign(const Args& args) {
   cfg.replications = args.at_least("replications", 1, 1);
   cfg.jobs = args.at_least("jobs", 0, 0);
   cfg.queue_metrics = true;  // deterministic; see cmd_simulate
-  cfg.batch_episodes = !args.flag("no-batch-episodes");
   apply_link_flags(args, cfg.protocol);
 
   // Geometric mode, exactly as in cmd_simulate.
@@ -1453,7 +1463,8 @@ int help() {
       "           canonical round-trip file of a preset or shell file\n"
       "  trace-summary FILE.jsonl [--metrics FILE.json]\n"
       "           termination-cause x chain table; with --metrics also the\n"
-      "           DES ready-queue telemetry (runs, merges, purge ratio)\n"
+      "           DES ready-queue telemetry (tombstones purged, purge\n"
+      "           ratio, max heap entries)\n"
       "  report   [--trace T] [--metrics M] [--spans S] [--manifest F]\n"
       "           [--top N] [--json OUT]   one consolidated run report:\n"
       "           manifest identity, latency percentiles, cause x drops,\n"
@@ -1461,17 +1472,14 @@ int help() {
       "           (oaq-report-v1 JSON via --json)\n"
       "Monte-Carlo commands run on all cores by default; --jobs N (or the\n"
       "OAQ_JOBS env var) overrides, --jobs 1 is the serial path. Results\n"
-      "are bit-identical for any jobs value. --no-batch-episodes runs the\n"
-      "scalar per-episode oracle instead of the (byte-identical) batched\n"
-      "SoA engine on the analytic path.\n"
+      "are bit-identical for any jobs value.\n"
       "Geometric mode (simulate, campaign, coverage): --constellation C\n"
       "runs against real orbital geometry, where C is a preset (reference,\n"
       "kepler, iridium-next, oneweb, starlink) or a Walker shell file (see\n"
       "tools/README.md); --lat D --lon D place the target (degrees),\n"
-      "--earth-rotation enables Earth rotation, --no-pooled-episodes runs\n"
-      "simulate's scalar per-episode oracle instead of the (byte-identical)\n"
-      "pooled per-shard DES arena. Shell-relative fault clauses require\n"
-      "--constellation and are resolved against its shell layout.\n"
+      "--earth-rotation enables Earth rotation. Shell-relative fault\n"
+      "clauses require --constellation and are resolved against its shell\n"
+      "layout.\n"
       "Observability (simulate & campaign): --trace FILE writes protocol\n"
       "events as JSONL (bit-identical for any --jobs), --metrics FILE\n"
       "writes the run metrics registry as JSON, --spans FILE writes the\n"
