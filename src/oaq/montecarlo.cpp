@@ -237,9 +237,13 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // Geometric mode computes the one covering sweep ONCE on the calling
   // thread (seed), freezes it, and every shard then reads it lock-free
   // with shard-local hit stats — cached values are pure functions of the
-  // query, so the results are bit-identical at any jobs. The satellite
-  // set every shard's arena registers is computed here too (the shards'
-  // dense network tables are still first-touched on their own threads).
+  // query, so the results are bit-identical at any jobs. The seed is
+  // serial, but PassPredictor sweeps only the planes that can reach the
+  // target and skips provably uncovered samples: ~0.01 s for the 72×22
+  // starlink shell over the equator, where the dense sweep took ~0.17 s.
+  // The satellite set every shard's arena registers is computed here too
+  // (the shards' dense network tables are still first-touched on their
+  // own threads).
   std::optional<SharedVisibilityCache> shared_cache;
   std::vector<SatelliteId> satellites;
   SeedFreezeHook seed_hook;

@@ -2,8 +2,11 @@
 //
 // The scalar propagator (orbit/kepler) answers one (satellite, time) query
 // per call; the geometry hot path — PassPredictor's sampling sweep and the
-// visibility caches built on it — asks for thousands of contiguous
-// timesteps per satellite. BatchKepler evaluates those sweeps over
+// visibility caches built on it — asks for runs of contiguous timesteps
+// per satellite: up to 16 samples at a time inside a pass, single samples
+// where its skip-ahead jumps across uncovered stretches (satellites of
+// planes that can never see the target are not evaluated at all).
+// BatchKepler evaluates those sweeps over
 // contiguous arrays in explicit fixed-width blocks of kBatchKeplerWidth
 // lanes (plus a tail that runs the SAME per-lane code on a partial block,
 // so a 1-element call is bitwise identical to the same element inside a

@@ -6,8 +6,8 @@ namespace oaq {
 
 FootprintModel::FootprintModel(double angular_radius_rad)
     : psi_(angular_radius_rad) {
-  OAQ_REQUIRE(psi_ > 0.0 && psi_ < kPi / 2.0,
-              "footprint angular radius must be in (0, pi/2)");
+  OAQ_REQUIRE(psi_ > 0.0 && psi_ <= kPi / 2.0,
+              "footprint angular radius must be in (0, pi/2]");
 }
 
 FootprintModel FootprintModel::from_coverage_time(Duration coverage_time,

@@ -34,14 +34,6 @@ QuantizedWindow quantize(Duration from, Duration to, Duration quantum) {
   return w;
 }
 
-void append_clipped(const std::vector<Pass>& all, Duration f, Duration to,
-                    std::vector<Pass>& out) {
-  for (const Pass& p : all) {
-    if (p.end <= f || p.start >= to) continue;
-    out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
-  }
-}
-
 }  // namespace
 
 SharedVisibilityCache::SharedVisibilityCache(const Constellation& constellation,
@@ -70,7 +62,7 @@ void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
   const std::lock_guard<std::mutex> lock(s.mu);
   const auto [it, inserted] = s.map.try_emplace(key);
   if (inserted) {
-    it->second = predictor_.passes(target, w.q_from, w.q_to, options_.tol);
+    it->second = compute(target, w.q_from, w.q_to);
     seed_computes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -130,10 +122,39 @@ void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
   const std::lock_guard<std::mutex> lock(s.mu);
   const auto [oit, inserted] = s.map.try_emplace(key);
   if (inserted) {
-    oit->second = predictor_.passes(target, w.q_from, w.q_to, options_.tol);
+    oit->second = compute(target, w.q_from, w.q_to);
     overflow_computes_.fetch_add(1, std::memory_order_relaxed);
   }
   append_clipped(oit->second, w.f, to, out);
+}
+
+SharedVisibilityCache::Entry SharedVisibilityCache::compute(
+    const GeoPoint& target, Duration from, Duration to) const {
+  Entry entry;
+  entry.passes = predictor_.passes(target, from, to, options_.tol);
+  entry.reach.reserve(entry.passes.size());
+  for (const Pass& p : entry.passes) {
+    entry.reach.push_back(
+        entry.reach.empty() ? p.end : std::max(entry.reach.back(), p.end));
+  }
+  return entry;
+}
+
+void SharedVisibilityCache::append_clipped(const Entry& entry, Duration f,
+                                           Duration to,
+                                           std::vector<Pass>& out) {
+  // Every pass before `first` ends by `f`; passes are sorted by start, so
+  // the first one starting at or after `to` ends the scan. Same passes,
+  // same order as testing every pass of the entry.
+  const auto first = static_cast<std::size_t>(
+      std::upper_bound(entry.reach.begin(), entry.reach.end(), f) -
+      entry.reach.begin());
+  for (std::size_t i = first; i < entry.passes.size(); ++i) {
+    const Pass& p = entry.passes[i];
+    if (p.start >= to) break;
+    if (p.end <= f) continue;
+    out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
+  }
 }
 
 std::vector<Pass> SharedVisibilityCache::passes_window(

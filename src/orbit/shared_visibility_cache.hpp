@@ -12,9 +12,12 @@
 //      paid for exactly once per run instead of once per shard.
 //   2. FROZEN (read-mostly): freeze() consolidates the stripes into one
 //      immutable map that every shard then queries lock-free — and, via
-//      passes_window_into(), allocation-free in the steady state. Queries
-//      whose quantized window was not seeded fall back to per-stripe
-//      overflow maps (compute-once under the stripe lock).
+//      passes_window_into(), allocation-free in the steady state. Each
+//      entry keeps the running maximum of its pass ends, so a query
+//      binary-searches its first candidate pass and stops at the first
+//      pass starting after the window instead of clipping every pass.
+//      Queries whose quantized window was not seeded fall back to
+//      per-stripe overflow maps (compute-once under the stripe lock).
 //
 // Determinism: every cached value is a pure function of its key — the
 // PassPredictor output for the quantized window — so query results never
@@ -106,11 +109,28 @@ class SharedVisibilityCache {
  private:
   static constexpr std::size_t kStripes = 16;
 
+  /// One cached window: its passes (sorted by start, as PassPredictor
+  /// returns them) and, per position, the latest end among the passes up
+  /// to it. That running maximum is non-decreasing, so a query binary-
+  /// searches the first pass that can still end after the request start
+  /// and stops at the first pass starting at or after the request end.
+  struct Entry {
+    std::vector<Pass> passes;
+    std::vector<Duration> reach;
+  };
+  using EntryMap =
+      std::unordered_map<VisibilityKey, Entry, VisibilityKeyHash>;
+
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<VisibilityKey, std::vector<Pass>, VisibilityKeyHash>
-        map;
+    EntryMap map;
   };
+
+  [[nodiscard]] Entry compute(const GeoPoint& target, Duration from,
+                              Duration to) const;
+  /// Passes of `entry` intersecting (f, to), clipped to that window.
+  static void append_clipped(const Entry& entry, Duration f, Duration to,
+                             std::vector<Pass>& out);
 
   [[nodiscard]] Stripe& stripe_of(const VisibilityKey& key) const {
     return stripes_[VisibilityKeyHash{}(key) % kStripes];
@@ -122,8 +142,7 @@ class SharedVisibilityCache {
   PassPredictor predictor_;
   /// Seed-phase entries before freeze(); overflow entries after.
   mutable std::array<Stripe, kStripes> stripes_;
-  std::unordered_map<VisibilityKey, std::vector<Pass>, VisibilityKeyHash>
-      frozen_map_;
+  EntryMap frozen_map_;
   std::atomic<bool> frozen_{false};
   std::atomic<std::uint64_t> seed_computes_{0};
   mutable std::atomic<std::uint64_t> overflow_computes_{0};

@@ -5,6 +5,16 @@
 // coverage stretches, overlap windows (simultaneous multiple coverage) and
 // gaps. The protocol simulator and the analytic model are cross-validated
 // against these intervals.
+//
+// passes() samples each satellite's coverage margin on a fixed grid of
+// 64 samples per footprint transit and refines every sign change with
+// find_root. It evaluates only what can matter: a plane whose great
+// circle never comes within ψ of the target over the window is skipped
+// whole (plane_out_of_reach), and outside a pass the sweep jumps over
+// grid points that a bound on the central-angle rate proves uncovered.
+// Every rising crossing is still bracketed by the same two adjacent grid
+// points, so the passes are bit-identical to evaluating every sample
+// (tests/support/dense_passes.hpp is that reference sweep).
 #pragma once
 
 #include <vector>
@@ -59,6 +69,14 @@ class PassPredictor {
   [[nodiscard]] std::vector<Pass> passes(const GeoPoint& target, Duration t0,
                                          Duration t1,
                                          Duration tol = Duration::seconds(0.01)) const;
+
+  /// True when no satellite of plane `plane` can come within its
+  /// footprint radius of `target` anywhere in [t0, t1] — the exact plane
+  /// cull passes() applies before sweeping a plane. Never true for a
+  /// footprint radius of π/2 or more unless the plane has no active
+  /// satellite.
+  [[nodiscard]] bool plane_out_of_reach(int plane, const GeoPoint& target,
+                                        Duration t0, Duration t1) const;
 
   /// Partition [t0, t1] into segments of constant covering-satellite sets.
   [[nodiscard]] static std::vector<CoverageSegment> multiplicity_timeline(

@@ -24,9 +24,11 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytic/measure.hpp"
@@ -61,7 +63,14 @@ namespace {
 /// Minimal --flag value parser.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  /// `known` lists every flag the running command reads. Any other flag
+  /// on the command line is refused here, before the command does any
+  /// work: a typo or another command's flag is an error, not a silently
+  /// ignored default. Reading a flag missing from `known` is a bug in the
+  /// list and fails loudly, so the list cannot drift from the code.
+  Args(int argc, char** argv, int first,
+       const std::vector<std::string_view>& known) {
+    for (const std::string_view name : known) known_.emplace(name);
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       OAQ_REQUIRE(key.rfind("--", 0) == 0, "flags must start with --");
@@ -74,13 +83,16 @@ class Args {
       } else {
         values_[key] = "true";
       }
+      if (!known_.contains(key)) {
+        throw std::invalid_argument("unknown flag --" + key);
+      }
     }
   }
 
   /// Strict numeric parse: the whole value must be a finite number —
   /// `--tau 5x` or `--tau abc` is a one-line error, not silently 5 or 0.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     std::size_t used = 0;
     double out = 0.0;
@@ -95,7 +107,7 @@ class Args {
     return out;
   }
   [[nodiscard]] int integer(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     std::size_t used = 0;
     int out = 0;
@@ -138,15 +150,21 @@ class Args {
     return out;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
-    return values_.contains(key);
+    return find(key) != values_.end();
   }
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& fallback = "") const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
  private:
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    OAQ_ENSURE(known_.contains(key), "flag --" + key + " read but not declared");
+    return values_.find(key);
+  }
+
   [[noreturn]] static void fail(const std::string& key,
                                 const std::string& value,
                                 const std::string& expected) {
@@ -155,6 +173,7 @@ class Args {
   }
 
   std::map<std::string, std::string> values_;
+  std::set<std::string, std::less<>> known_;
 };
 
 /// A resolved --constellation value: the shells as specified (for the
@@ -1448,6 +1467,46 @@ int cmd_constellation(const Args& args) {
   return 0;
 }
 
+/// The flags each command reads, so Args can refuse the rest.
+std::vector<std::string_view> flags_of(const std::string& cmd) {
+  using List = std::vector<std::string_view>;
+  // Shared groups: the dependability model (capacity, measure), the
+  // observability sinks, link model, geometric target and fault plan
+  // (simulate, campaign). The removed engine flags stay accepted so
+  // reject_removed_flags can explain them.
+  const List dependability = {"lambda", "eta", "launch-lead",
+                              "expedited-lead", "phi", "cycles"};
+  const List run = {"no-batch-episodes", "no-pooled-episodes", "k", "tau",
+                    "seed", "jobs", "loss", "reliable", "retries", "backoff",
+                    "self-heal", "health-alpha", "constellation", "lat",
+                    "lon", "earth-rotation", "fault-plan", "ge-loss",
+                    "outage-train", "check-invariants", "trace", "metrics",
+                    "spans", "manifest", "profile"};
+  auto join = [](List a, const List& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  if (cmd == "qos") return {"k", "tau", "mu", "nu"};
+  if (cmd == "capacity") return join(dependability, {"seed"});
+  if (cmd == "measure") return join(dependability, {"tau", "mu", "nu"});
+  if (cmd == "plan") return {"k", "phase", "tau", "at"};
+  if (cmd == "simulate") {
+    return join(run, {"episodes", "mu", "baq", "delta-s", "tg-s",
+                      "chaos-sweep"});
+  }
+  if (cmd == "campaign") {
+    return join(run, {"per-hour", "hours", "nu", "cap-s", "no-contention",
+                      "replications", "ledger"});
+  }
+  if (cmd == "coverage") return {"constellation", "bands"};
+  if (cmd == "constellation") return {"constellation", "out"};
+  if (cmd == "report") {
+    return {"trace", "metrics", "spans", "manifest", "top", "json"};
+  }
+  if (cmd == "trace-summary") return {"metrics"};
+  return {};
+}
+
 int help() {
   std::cout <<
       "oaqctl — OAQ constellation toolkit\n"
@@ -1518,10 +1577,12 @@ int main(int argc, char** argv) {
                      " [--metrics FILE.json]\n";
         return 1;
       }
-      const Args args(argc, argv, 3);
+      const Args args(argc, argv, 3, flags_of(cmd));
       return cmd_trace_summary(argv[2], args.str("metrics"));
     }
-    const Args args(argc, argv, 2);
+    const auto known = flags_of(cmd);
+    if (known.empty()) return help();
+    const Args args(argc, argv, 2, known);
     if (cmd == "qos") return cmd_qos(args);
     if (cmd == "capacity") return cmd_capacity(args);
     if (cmd == "measure") return cmd_measure(args);
