@@ -1,7 +1,7 @@
 // Chaos-soak harness (ISSUE 10 tentpole): randomized storm campaigns of
 // stochastic fault processes against the self-healing link layer.
 //
-// Four measurements, three acceptance gates:
+// Three measurements, two acceptance gates:
 //   1. Storm soak — simulate_qos on the iridium-next preset (geometric
 //      mode) with a Gilbert–Elliott + outage-train + sat-lifecycle plan
 //      and self-healing links, invariants I1–I12 checked on every
@@ -10,17 +10,18 @@
 //      the alert-latency degradation vs the clean (no-storm) baseline.
 //      Gate: zero invariant violations.
 //   2. Clean-path overhead — analytic simulate_qos with self-healing
-//      links enabled but no plan vs fully off. Gate: <= 5% wall-clock
-//      (the health path must stay branch-cheap while nothing degrades).
-//   3. Expansion hot path — repeated FaultProcessExpander::expand rounds
-//      of a stochastic plan. Gate: zero steady-state heap allocations
-//      (the expander's internal plan keeps its capacity).
-//   4. Storm throughput — episodes/sec of the soak run. Informational.
+//      links enabled but no plan vs fully off, as the median of
+//      interleaved pair ratios (bench/overhead_ab.hpp). Gate: <= 5%
+//      wall-clock (the health path must stay branch-cheap while nothing
+//      degrades).
+//   3. Storm throughput — episodes/sec of the soak run. Informational.
+// The expansion hot path's zero steady-state allocations are a tier-1
+// test (SteadyStateAllocs.StochasticExpansion in tests/alloc).
 //
-// Prints a human table plus BENCH_JSON lines (aggregated into
-// BENCH_10.json by tools/run_bench.sh; schema in tools/README.md).
+// Prints a human table plus a BENCH_JSON line, and exits 1 when a gate
+// fails.
 //
-//   chaos_soak [storm_episodes] [overhead_episodes] [rounds]
+//   chaos_soak [storm_episodes] [overhead_episodes]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -30,12 +31,12 @@
 #include <sstream>
 #include <vector>
 
-#include "alloc_counter.hpp"
 #include "common/table.hpp"
-#include "fault/process.hpp"
+#include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 #include "obs/trace.hpp"
 #include "orbit/constellation_builder.hpp"
+#include "overhead_ab.hpp"
 
 using namespace oaq;
 
@@ -281,7 +282,7 @@ LinkStormNumbers run_link_storm(int episodes, const FaultPlan* plan) {
 }
 
 /// Episodes/sec of one analytic simulate_qos run (clean-path overhead
-/// probe; interleaving is the caller's job).
+/// probe).
 double analytic_eps(int episodes, bool self_healing) {
   QosSimulationConfig cfg;
   cfg.k = 9;
@@ -296,49 +297,14 @@ double analytic_eps(int episodes, bool self_healing) {
   return static_cast<double>(qos.episodes) / elapsed;
 }
 
-struct ExpanderNumbers {
-  double expansions_per_sec = 0.0;
-  std::uint64_t steady_allocs = 0;
-  std::uint64_t steady_rounds = 0;
-};
-
-/// Repeated expansion rounds of the storm plan through one long-lived
-/// expander: the first half warms the internal plan's capacity, the
-/// second half must not allocate (the chaos-soak 0-alloc gate).
-ExpanderNumbers expansion_hot_path(int rounds, const FaultPlan& plan) {
-  FaultProcessExpander expander;
-  const Rng rng(42);
-  std::uint64_t clause_sink = 0;
-  const auto round = [&](int r) {
-    const FaultPlan& out =
-        expander.expand(plan, rng.fork(static_cast<std::uint64_t>(r) + 1));
-    clause_sink += out.size();
-  };
-  const int warm = rounds / 2;
-  for (int r = 0; r < warm; ++r) round(r);
-
-  ExpanderNumbers out;
-  const std::uint64_t allocs_before = benchutil::allocation_count();
-  const auto t0 = Clock::now();
-  for (int r = warm; r < rounds; ++r) round(r);
-  const double elapsed = seconds_since(t0);
-  out.steady_allocs = benchutil::allocation_count() - allocs_before;
-  out.steady_rounds = static_cast<std::uint64_t>(rounds - warm);
-  out.expansions_per_sec = static_cast<double>(out.steady_rounds) / elapsed;
-  if (clause_sink == ~0ull) std::abort();  // defeat over-eager optimizers
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const int storm_episodes = argc > 1 ? std::atoi(argv[1]) : 1000;
   const int overhead_episodes = argc > 2 ? std::atoi(argv[2]) : 40000;
-  const int rounds = argc > 3 ? std::atoi(argv[3]) : 20000;
 
   std::cout << "=== chaos soak (" << storm_episodes << " storm episodes, "
-            << overhead_episodes << " overhead episodes, " << rounds
-            << " expansion rounds) ===\n\n";
+            << overhead_episodes << " overhead episodes) ===\n\n";
 
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   const FaultPlan storm = storm_plan();
@@ -355,17 +321,12 @@ int main(int argc, char** argv) {
       run_link_storm(storm_episodes, /*plan=*/nullptr);
   const LinkStormNumbers ls = run_link_storm(storm_episodes, &link_storm);
 
-  // Untimed warm-up, then interleaved repetitions (fault_storm idiom) so
-  // frequency drift hits baseline and health-on runs alike.
-  (void)analytic_eps(overhead_episodes, false);
-  double base_eps = 0.0, health_eps = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    base_eps = std::max(base_eps, analytic_eps(overhead_episodes, false));
-    health_eps = std::max(health_eps, analytic_eps(overhead_episodes, true));
-  }
-  const double overhead = base_eps / health_eps - 1.0;
-
-  const ExpanderNumbers hot = expansion_hot_path(rounds, storm);
+  const bench::OverheadAb ab = bench::measure_overhead(
+      [&] { (void)analytic_eps(overhead_episodes, false); },
+      [&] { (void)analytic_eps(overhead_episodes, true); });
+  const double overhead = ab.overhead();
+  const double base_eps = overhead_episodes / ab.baseline_s;
+  const double health_eps = overhead_episodes / ab.variant_s;
 
   TablePrinter table({"measure", "clean", "storm"}, 4);
   table.add_row({std::string("availability"), clean.availability,
@@ -397,10 +358,9 @@ int main(int argc, char** argv) {
             << "alert-latency degradation: " << latency_degradation * 100.0
             << "%\n"
             << "clean-path overhead (health on, no plan): "
-            << overhead * 100.0 << "%\n"
-            << "expansion hot path: " << hot.expansions_per_sec
-            << " expansions/s, " << hot.steady_allocs << " allocs over "
-            << hot.steady_rounds << " steady rounds\n"
+            << overhead * 100.0 << "% (median of " << ab.pairs
+            << " pair ratios, IQR " << ab.iqr() * 100.0 << " points, "
+            << ab.reps << " runs per side)\n"
             << "storm throughput: " << soak.episodes_per_sec
             << " episodes/s\n";
 
@@ -422,9 +382,7 @@ int main(int argc, char** argv) {
        << "},\"clean_path_overhead\":{\"baseline_episodes_per_sec\":"
        << base_eps << ",\"health_episodes_per_sec\":" << health_eps
        << ",\"overhead_fraction\":" << overhead
-       << "},\"expansion_hot_path\":{\"rounds\":" << rounds
-       << ",\"expansions_per_sec\":" << hot.expansions_per_sec
-       << ",\"steady_state_allocs\":" << hot.steady_allocs
+       << ",\"overhead_iqr\":" << ab.iqr() << ",\"pairs\":" << ab.pairs
        << "},\"storm_episodes_per_sec\":" << soak.episodes_per_sec
        << ",\"invariant_violations\":"
        << soak.violations + clean.violations + ls.violations +
@@ -432,9 +390,8 @@ int main(int argc, char** argv) {
        << "}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
-  // Acceptance gates (ISSUE 10): invariants clean under the storm, the
-  // idle health path costs <= 5% wall-clock, and stochastic expansion
-  // allocates nothing at steady state.
+  // Acceptance gates: invariants clean under the storm, and the idle
+  // health path costs <= 5% wall-clock.
   bool ok = true;
   if (soak.violations + clean.violations + ls.violations +
           ls_clean.violations != 0) {
@@ -443,11 +400,6 @@ int main(int argc, char** argv) {
   }
   if (overhead > 0.05) {
     std::cout << "REGRESSION: clean-path overhead above 5%\n";
-    ok = false;
-  }
-  if (hot.steady_allocs != 0) {
-    std::cout << "REGRESSION: stochastic expansion allocated at steady "
-                 "state\n";
     ok = false;
   }
   return ok ? 0 : 1;

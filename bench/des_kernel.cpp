@@ -1,7 +1,8 @@
 // DES hot-path harness (ISSUE 3 tentpole): old-vs-new kernel throughput,
-// cancel-heavy churn, steady-state allocation counts, and cached-vs-
-// uncached visibility queries. Prints a human table plus BENCH_JSON lines
-// (aggregated into BENCH_3.json by tools/run_bench.sh).
+// cancel-heavy churn, and cached-vs-uncached visibility queries. Prints a
+// human table plus BENCH_JSON lines, and exits 1 when a gate fails. The
+// kernel's zero steady-state allocations per event are a tier-1 test
+// (SteadyStateAllocs.DesKernelPerEvent in tests/alloc).
 //
 //   des_kernel [events] [rounds]
 #include <chrono>
@@ -11,7 +12,6 @@
 #include <sstream>
 #include <vector>
 
-#include "alloc_counter.hpp"
 #include "common/table.hpp"
 #include "legacy_simulator.hpp"
 #include "oaq/schedule.hpp"
@@ -49,11 +49,9 @@ struct Chain {
 };
 
 /// Events/sec of `chains` interleaved self-rescheduling chains totalling
-/// `total_events` firings. `allocs_per_event` (optional out) measures the
-/// steady-state half of the run, after slab/heap/pool growth is done.
+/// `total_events` firings.
 template <typename Sim>
-double schedule_fire_events_per_sec(int chains, std::uint64_t total_events,
-                                    double* allocs_per_event = nullptr) {
+double schedule_fire_events_per_sec(int chains, std::uint64_t total_events) {
   Sim sim;
   std::uint64_t fired = 0;
   const std::uint64_t per_chain = total_events / static_cast<std::uint64_t>(chains);
@@ -63,21 +61,8 @@ double schedule_fire_events_per_sec(int chains, std::uint64_t total_events,
         Duration::seconds(static_cast<double>(c % 16)),
         Chain<Sim>{&sim, &fired, per_chain, 0x9e3779b97f4a7c15ull + c});
   }
-  // First half warms the pools; the second half is steady state.
-  const std::uint64_t half = chains * per_chain / 2;
-  while (fired < half && sim.step()) {
-  }
-  const std::uint64_t allocs_before = benchutil::allocation_count();
-  const std::uint64_t fired_before = fired;
   sim.run();
-  const std::uint64_t steady_allocs =
-      benchutil::allocation_count() - allocs_before;
-  const double elapsed = seconds_since(t0);
-  if (allocs_per_event != nullptr) {
-    *allocs_per_event = static_cast<double>(steady_allocs) /
-                        static_cast<double>(fired - fired_before);
-  }
-  return static_cast<double>(fired) / elapsed;
+  return static_cast<double>(fired) / seconds_since(t0);
 }
 
 /// Ops/sec of a cancel-heavy workload: every round schedules a batch,
@@ -196,11 +181,10 @@ int main(int argc, char** argv) {
   constexpr int kChains = 4096;
   constexpr int kCancelBatch = 4096;
 
-  double legacy_allocs = 0.0, pooled_allocs = 0.0;
-  const double legacy_fire = schedule_fire_events_per_sec<legacy::Simulator>(
-      kChains, events, &legacy_allocs);
+  const double legacy_fire =
+      schedule_fire_events_per_sec<legacy::Simulator>(kChains, events);
   const double pooled_fire =
-      schedule_fire_events_per_sec<Simulator>(kChains, events, &pooled_allocs);
+      schedule_fire_events_per_sec<Simulator>(kChains, events);
   const double legacy_cancel =
       cancel_heavy_ops_per_sec<legacy::Simulator>(kCancelBatch, rounds);
   const double pooled_cancel =
@@ -218,8 +202,6 @@ int main(int argc, char** argv) {
                  pooled_cancel, pooled_cancel / legacy_cancel});
   table.add_row({std::string("single-run drain (pop/s)"), legacy_drain,
                  pooled_drain, pooled_drain / legacy_drain});
-  table.add_row({std::string("steady allocs/event"), legacy_allocs,
-                 pooled_allocs, 0.0});
   table.print(std::cout);
   std::cout << "\nvisibility passes: uncached " << vis.uncached_qps
             << " q/s, cached " << vis.cached_qps << " q/s (speedup "
@@ -236,9 +218,7 @@ int main(int argc, char** argv) {
        << ",\"speedup\":" << pooled_cancel / legacy_cancel
        << "},\"single_run_drain\":{\"legacy_pops_per_sec\":" << legacy_drain
        << ",\"pooled_pops_per_sec\":" << pooled_drain
-       << ",\"speedup\":" << pooled_drain / legacy_drain
-       << "},\"steady_state_allocs_per_event\":{\"legacy\":" << legacy_allocs
-       << ",\"pooled\":" << pooled_allocs << "}}";
+       << ",\"speedup\":" << pooled_drain / legacy_drain << "}}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
   std::ostringstream vjson;
@@ -249,13 +229,11 @@ int main(int argc, char** argv) {
         << ",\"hit_rate\":" << vis.hit_rate << "}";
   std::cout << "BENCH_JSON " << vjson.str() << "\n";
 
-  // Regression gates (ISSUE 3 acceptance): >= 2x schedule/cancel speedup,
-  // zero steady-state allocations per event in the pooled kernel. The
-  // single-run fast path (ISSUE 6) must not regress the drain below the
-  // legacy heap.
+  // Regression gates: >= 2x schedule/cancel speedup, and the pooled
+  // drain no slower than the legacy heap.
   const bool ok = pooled_fire >= 2.0 * legacy_fire &&
                   pooled_cancel >= 2.0 * legacy_cancel &&
-                  pooled_allocs == 0.0 && pooled_drain >= legacy_drain;
+                  pooled_drain >= legacy_drain;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";
   return ok ? 0 : 1;
 }

@@ -1,10 +1,10 @@
 // Batched geometry engine harness (ISSUE 4 tentpole): scalar-vs-batched
-// Kepler margin-sweep throughput, solve-only throughput, the warm-up wall
-// of private per-shard visibility caches vs a whole simulate_qos run over
-// the seeded shared cache, and
-// the frozen cache's steady-state allocation count. Prints a human table
-// plus one BENCH_JSON line (aggregated into BENCH_4.json by
-// tools/run_bench.sh).
+// Kepler margin-sweep throughput, solve-only throughput, and the warm-up
+// wall of private per-shard visibility caches vs a whole simulate_qos run
+// over the seeded shared cache. Prints a human table plus one BENCH_JSON
+// line, and exits 1 when a gate fails. The frozen cache's zero
+// steady-state allocations per query are a tier-1 test
+// (SteadyStateAllocs.FrozenCacheQuery in tests/alloc).
 //
 //   geometry_batch [samples] [reps]
 #include <algorithm>
@@ -16,14 +16,12 @@
 #include <sstream>
 #include <vector>
 
-#include "alloc_counter.hpp"
 #include "common/table.hpp"
 #include "geom/geodesy.hpp"
 #include "common/parallel.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/montecarlo_internal.hpp"
 #include "orbit/batch_kepler.hpp"
-#include "orbit/shared_visibility_cache.hpp"
 #include "orbit/visibility_cache.hpp"
 
 using namespace oaq;
@@ -188,45 +186,6 @@ WarmupRow warmup_wall(const Constellation& c, int jobs) {
   return row;
 }
 
-/// Steady-state allocations per frozen-cache query: seed, freeze, warm the
-/// output vector's capacity once, then count operator-new calls across
-/// repeated sub-window queries (all frozen hits). The acceptance gate is
-/// exactly zero.
-std::uint64_t frozen_query_allocs(const Constellation& c, int queries) {
-  SharedVisibilityCache::Options opt;
-  opt.window_quantum = Duration::hours(4);
-  SharedVisibilityCache cache(c, false, opt);
-  const GeoPoint target{0.0, 0.0};
-  cache.seed_window(target, Duration::zero(), opt.window_quantum);
-  cache.freeze();
-
-  VisibilityCacheStats stats;
-  std::vector<Pass> out;
-  std::size_t sink = 0;
-  // Jittered sub-windows of the seeded quantum — the Monte-Carlo access
-  // pattern; every one quantizes to the frozen entry.
-  std::uint64_t salt = 1;
-  const auto window = [&salt] {
-    salt = salt * 2862933555777941757ull + 3037000493ull;
-    const double from_min = static_cast<double>(salt % 120);
-    return std::pair(Duration::minutes(from_min),
-                     Duration::minutes(from_min + 90.0));
-  };
-  for (int q = 0; q < 16; ++q) {  // warm-up: grows `out` to peak capacity
-    const auto [from, to] = window();
-    cache.passes_window_into(target, from, to, out, &stats);
-    sink += out.size();
-  }
-  const std::uint64_t before = benchutil::allocation_count();
-  for (int q = 0; q < queries; ++q) {
-    const auto [from, to] = window();
-    cache.passes_window_into(target, from, to, out, &stats);
-    sink += out.size();
-  }
-  if (sink == 0) std::abort();
-  return benchutil::allocation_count() - before;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,7 +201,6 @@ int main(int argc, char** argv) {
   const Constellation c = bench_constellation();
   std::vector<WarmupRow> warmup;
   for (const int jobs : {1, 4, 8}) warmup.push_back(warmup_wall(c, jobs));
-  const std::uint64_t steady_allocs = frozen_query_allocs(c, 4096);
 
   TablePrinter kernels({"kernel", "scalar/s", "batched/s", "speedup"}, 2);
   kernels.add_row({std::string("margin sweep"), margins.scalar_per_sec,
@@ -260,8 +218,6 @@ int main(int argc, char** argv) {
                    row.shared_s, row.speedup()});
   }
   walls.print(std::cout);
-  std::cout << "\nfrozen-cache steady-state allocations over 4096 queries: "
-            << steady_allocs << "\n";
 
   std::ostringstream json;
   json << "{\"bench\":\"geometry_batch\",\"samples\":" << samples
@@ -281,12 +237,11 @@ int main(int argc, char** argv) {
          << ",\"shared_s\":" << row.shared_s
          << ",\"speedup\":" << row.speedup() << "}";
   }
-  json << "],\"frozen_steady_state_allocs\":" << steady_allocs << "}";
+  json << "]}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
   // Regression gates (ISSUE 4 acceptance): >= 2x batched margin-sweep
-  // throughput, >= 2x lower warm-up wall at jobs 4 with the shared cache,
-  // zero steady-state allocations on the frozen read path.
+  // throughput, >= 2x lower warm-up wall at jobs 4 with the shared cache.
   bool ok = true;
   if (margins.speedup() < 2.0) {
     std::cout << "REGRESSION: margin-sweep speedup " << margins.speedup()
@@ -300,11 +255,6 @@ int main(int argc, char** argv) {
     std::cout << "REGRESSION: shared-cache warm-up speedup at jobs 4 "
               << (jobs4 == warmup.end() ? 0.0 : jobs4->speedup())
               << " < 2.0\n";
-    ok = false;
-  }
-  if (steady_allocs != 0) {
-    std::cout << "REGRESSION: frozen cache allocated " << steady_allocs
-              << " times in steady state\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -8,8 +8,8 @@
 // Chrome's trace viewer and most strict parsers accept).
 //
 // MiniJson is the inverse direction: a small recursive-descent parser for
-// the documents this repo emits (metrics/manifest/span/BENCH files), used
-// by `oaqctl report`, `tools/bench_trend`, and the round-trip tests. It
+// the documents this repo emits (metrics/manifest/span files), used by
+// `oaqctl report` and the round-trip tests. It
 // preserves object key order, which the exporters keep deterministic.
 #pragma once
 

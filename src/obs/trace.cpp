@@ -161,7 +161,8 @@ namespace {
 /// Value text of `"key":` in a flat one-object JSON line, or nullopt.
 std::optional<std::string_view> json_field(std::string_view line,
                                            std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
+  std::string pattern = "\"";
+  pattern.append(key).append("\":");
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   auto value = line.substr(pos + pattern.size());

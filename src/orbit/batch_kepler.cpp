@@ -114,7 +114,9 @@ void BatchKepler::positions_block(const double* t_s, std::size_t nb,
       yc[j] = a * std::sin(u);
     }
   } else {
-    double m[kW], e_anom[kW];
+    // Zeroed only to quiet -Wmaybe-uninitialized: solve() reads lanes
+    // < nb, all written below.
+    double m[kW] = {}, e_anom[kW];
     for (std::size_t j = 0; j < nb; ++j) {
       m[j] = m0[j] + mean_motion_ * t_s[j];
     }

@@ -122,7 +122,7 @@ TEST(ParallelReduce, MergesInShardOrder) {
 
 TEST(ParallelReduce, PropagatesMapException) {
   for (const int jobs : {1, 4}) {
-    EXPECT_THROW(parallel_reduce<int>(
+    EXPECT_THROW((void)parallel_reduce<int>(
                      16, 8, jobs,
                      [](std::int64_t b, std::int64_t, int) -> int {
                        if (b >= 8) throw std::runtime_error("map failed");
