@@ -24,9 +24,11 @@
 #include "common/distribution.hpp"
 #include "common/table.hpp"
 #include "oaq/montecarlo.hpp"
+#include "oaq/montecarlo_internal.hpp"
 #include "oaq/pooled_episode.hpp"
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 #include "orbit/visibility.hpp"
 #include "qos_oracle.hpp"
 
@@ -77,23 +79,24 @@ struct AbThroughput {
 };
 
 /// Pooled-vs-naive per-episode throughput, both engines driven directly
-/// over one pre-warmed VisibilityCache so the timed regions contain pure
-/// episode work: the naive path is the scalar oracle's per-episode step
-/// (oracle_episode: EpisodeEngine::run re-constructs Simulator/
-/// CrosslinkNetwork and re-registers the pass horizon per episode), the
-/// pooled path resets one arena. Measuring this
-/// way — instead of subtracting two full simulate_qos runs — keeps the
-/// one-time visibility seed sweep out of the comparison entirely, so the
-/// ratio is stable enough to gate.
+/// over one seeded, frozen SharedVisibilityCache — the cache simulate_qos
+/// builds — so the timed regions contain pure episode work: the naive
+/// path is the scalar oracle's per-episode step (oracle_episode:
+/// EpisodeEngine::run re-constructs Simulator/CrosslinkNetwork and
+/// re-registers the pass horizon per episode), the pooled path resets one
+/// arena. Measuring this way — instead of subtracting two full
+/// simulate_qos runs — keeps the one-time visibility seed sweep out of the
+/// comparison entirely, so the ratio is stable enough to gate.
 AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                              std::int64_t pooled_n) {
   const QosSimulationConfig cfg = scale_config(c, 1);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  VisibilityCache::Options vopt;
-  vopt.window_quantum = signal_start.since_origin() + c.max_period() +
-                        cfg.protocol.tau + Duration::hours(2);
-  VisibilityCache cache(c, cfg.earth_rotation, vopt);
-  GeometricSchedule schedule(cache, cfg.target);
+  const TimePoint signal_start = detail::qos_signal_start();
+  SharedVisibilityCache::Options vopt;
+  vopt.window_quantum = detail::qos_visibility_quantum(cfg);
+  SharedVisibilityCache cache(c, cfg.earth_rotation, vopt);
+  cache.seed_window(cfg.target, Duration::zero(), vopt.window_quantum);
+  cache.freeze();
+  const GeometricSchedule schedule(cache, cfg.target);
   PooledEpisodeRunner runner(schedule, c.active_satellites(), cfg.protocol,
                              cfg.opportunity_adaptive, /*plan=*/nullptr);
   const ExponentialDuration duration_law(cfg.mu);
@@ -122,8 +125,7 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                            /*trace=*/nullptr, /*invariants=*/nullptr);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
-  // Warm-up: populates the covering cache window and grows every pooled
-  // buffer to steady state.
+  // Warm-up: grows every pooled buffer to steady state.
   for (std::int64_t e = 0; e < 64; ++e) {
     run_naive(e);
     run_pooled(e);

@@ -1,5 +1,6 @@
 // Paired A/B wall-clock overhead, the measurement behind the benches'
-// <= 5% overhead gates (fault_storm, span_overhead, chaos_soak).
+// <= 5% overhead gates (fault_storm, span_overhead, chaos_soak) and
+// geometry_batch's >= 2x margin-sweep speedup gate.
 //
 // A pair runs the baseline and the variant `reps` times each, alternating
 // run by run (and which goes first), and sums each side's wall clock;

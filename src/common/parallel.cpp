@@ -29,7 +29,7 @@ void ReduceProfile::write_bench_json(std::ostream& os,
                                      std::string_view bench_name) const {
   os << "{\"bench\":\"" << bench_name << "\",\"jobs\":" << jobs_resolved
      << ",\"shards_used\":" << shards_used << ",\"total_s\":" << total_s
-     << ",\"seed_s\":" << seed_s << ",\"merge_s\":" << merge_s
+     << ",\"merge_s\":" << merge_s
      << ",\"shard_run_sum_s\":" << sum_shard_run_s()
      << ",\"shard_run_max_s\":" << max_shard_run_s()
      << ",\"queue_wait_sum_s\":" << sum_queue_wait_s() << ",\"shards\":[";

@@ -111,7 +111,6 @@ struct ReduceProfile {
   int jobs_resolved = 0;  ///< executors actually used
   int shards_used = 0;    ///< after the n_items clamp
   double total_s = 0.0;   ///< whole parallel_reduce call
-  double seed_s = 0.0;    ///< SeedFreezeHook seed+freeze, before fan-out
   double merge_s = 0.0;   ///< sequential shard-order fold
   std::vector<ShardTiming> shards;  ///< indexed by shard
 
@@ -125,30 +124,15 @@ struct ReduceProfile {
   void write_bench_json(std::ostream& os, std::string_view bench_name) const;
 };
 
-/// Pre-fan-out hook for shared read-mostly state (e.g. the
-/// SharedVisibilityCache seed/freeze protocol): `seed` builds the shared
-/// state and `freeze` publishes it read-only. Both run back-to-back ON THE
-/// CALLING THREAD before any shard's `map` is dispatched — in the pooled
-/// path as well as the jobs<=1 inline path — so every shard observes the
-/// frozen state without synchronizing, and a run produces the same shared
-/// state for any worker count. Null members are skipped.
-struct SeedFreezeHook {
-  std::function<void()> seed;
-  std::function<void()> freeze;
-};
-
 /// Map-reduce over [0, n_items): each shard builds a private `Accum` via
 /// `map(begin, end, shard)`, and shards are folded left-to-right with
 /// `merge(into, from)` on the calling thread. Deterministic in `jobs`
 /// (see file header); `jobs <= 1` runs fully inline. A non-null `profile`
-/// receives wall-clock timings (which never influence the result). A
-/// non-null `hook` runs seed-then-freeze on the calling thread before any
-/// shard starts (timed into profile->seed_s).
+/// receives wall-clock timings (which never influence the result).
 template <typename Accum, typename MapFn, typename MergeFn>
 [[nodiscard]] Accum parallel_reduce(std::int64_t n_items, int n_shards,
                                     int jobs, MapFn&& map, MergeFn&& merge,
-                                    ReduceProfile* profile = nullptr,
-                                    const SeedFreezeHook* hook = nullptr) {
+                                    ReduceProfile* profile = nullptr) {
   using Clock = std::chrono::steady_clock;
   const auto seconds_between = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
@@ -163,27 +147,15 @@ template <typename Accum, typename MapFn, typename MergeFn>
   if (profile != nullptr) {
     profile->jobs_resolved = jobs;
     profile->shards_used = n_shards;
-    profile->seed_s = 0.0;
     profile->merge_s = 0.0;
     profile->shards.assign(static_cast<std::size_t>(n_shards), {});
   }
-
-  if (hook != nullptr) {
-    if (hook->seed) hook->seed();
-    if (hook->freeze) hook->freeze();
-    if (profile != nullptr) {
-      profile->seed_s = seconds_between(t_start, Clock::now());
-    }
-  }
-  // Shard timings start after the hook: shard 0's inline run_s must not
-  // absorb the seed/freeze wall (it is reported separately as seed_s).
-  const auto t_dispatch = Clock::now();
 
   if (jobs <= 1) {
     auto [lo, hi] = shard_range(n_items, n_shards, 0);
     Accum acc = map(lo, hi, 0);
     if (profile != nullptr) {
-      profile->shards[0].run_s = seconds_between(t_dispatch, Clock::now());
+      profile->shards[0].run_s = seconds_between(t_start, Clock::now());
     }
     for (int s = 1; s < n_shards; ++s) {
       auto [b, e] = shard_range(n_items, n_shards, s);
@@ -210,7 +182,7 @@ template <typename Accum, typename MapFn, typename MergeFn>
     parts[static_cast<std::size_t>(s)].emplace(map(b, e, s));
     if (profile != nullptr) {
       auto& timing = profile->shards[static_cast<std::size_t>(s)];
-      timing.queue_wait_s = seconds_between(t_dispatch, t_shard);
+      timing.queue_wait_s = seconds_between(t_start, t_shard);
       timing.run_s = seconds_between(t_shard, Clock::now());
     }
   });

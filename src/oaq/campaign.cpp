@@ -395,27 +395,17 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // calling thread and frozen before any replication runs — every
   // replication then reads the same sweep lock-free.
   std::optional<SharedVisibilityCache> shared_cache;
-  SeedFreezeHook seed_hook;
-  int seed_executors = 0;
   if (config.constellation != nullptr) {
     VisibilityCache::Options vopt;
     vopt.window_quantum = campaign_visibility_quantum(config);
     shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    // `vopt` dies with this block but the lambda runs later (inside
-    // parallel_reduce), so capture it by value.
-    seed_hook.seed = [&shared_cache, &config, vopt, &seed_executors,
-                      main_spans] {
+    {
       const ScopedSpan span(main_spans, "visibility_seed");
-      // Single-target campaigns seed serially (seed_windows degrades to
-      // the plain loop); multi-target callers get the pool fan-out.
-      seed_executors = shared_cache->seed_windows(
-          {config.target}, Duration::zero(), vopt.window_quantum,
-          config.jobs);
-    };
-    seed_hook.freeze = [&shared_cache, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_freeze");
-      shared_cache->freeze();
-    };
+      shared_cache->seed_window(config.target, Duration::zero(),
+                                vopt.window_quantum);
+    }
+    const ScopedSpan span(main_spans, "visibility_freeze");
+    shared_cache->freeze();
   }
   const SharedVisibilityCache* shared_ptr =
       shared_cache ? &*shared_cache : nullptr;
@@ -424,10 +414,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   if (config.replications == 1) {
     using Clock = std::chrono::steady_clock;
     const auto t_start = Clock::now();
-    if (shared_cache) {
-      seed_hook.seed();
-      seed_hook.freeze();
-    }
     total =
         run_single_campaign(config, Rng(config.seed), shard_trace(0),
                             want_metrics, shared_ptr, shard_spans(0));
@@ -464,19 +450,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
           const ScopedSpan span(main_spans, "merge");
           into.merge(from);
         },
-        config.profile, shared_cache ? &seed_hook : nullptr);
+        config.profile);
   }
   if (shared_cache && want_metrics) {
     // Global cache size, once — not per replication.
     total.metrics.add(
         "visibility.cache_entries",
-        static_cast<std::int64_t>(shared_cache->frozen_entries() +
-                                  shared_cache->overflow_entries()));
-    if (seed_executors > 1) {
-      // Only when the seed phase actually fanned out — single-target
-      // campaigns (and the golden metrics files) see no new key.
-      total.metrics.add("visibility.seed_parallel", seed_executors);
-    }
+        static_cast<std::int64_t>(shared_cache->frozen_entries()));
   }
   if (want_metrics && config.check_invariants) {
     total.metrics.add(

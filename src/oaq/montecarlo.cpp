@@ -246,25 +246,18 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // own threads).
   std::optional<SharedVisibilityCache> shared_cache;
   std::vector<SatelliteId> satellites;
-  SeedFreezeHook seed_hook;
-  int seed_executors = 0;
   if (geometric) {
     VisibilityCache::Options vopt;
     vopt.window_quantum = detail::qos_visibility_quantum(config);
     shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
     satellites = config.constellation->active_satellites();
-    seed_hook.seed = [&shared_cache, &config, quantum = vopt.window_quantum,
-                      &seed_executors, main_spans] {
+    {
       const ScopedSpan span(main_spans, "visibility_seed");
-      // Single-target runs seed serially (seed_windows degrades to the
-      // plain loop); the fan-out pays off for multi-target workloads.
-      seed_executors = shared_cache->seed_windows(
-          {config.target}, Duration::zero(), quantum, config.jobs);
-    };
-    seed_hook.freeze = [&shared_cache, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_freeze");
-      shared_cache->freeze();
-    };
+      shared_cache->seed_window(config.target, Duration::zero(),
+                                vopt.window_quantum);
+    }
+    const ScopedSpan span(main_spans, "visibility_freeze");
+    shared_cache->freeze();
   }
 
   detail::EpisodeAccum total = parallel_reduce<detail::EpisodeAccum>(
@@ -347,20 +340,14 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         const ScopedSpan span(main_spans, "merge");
         into.merge(std::move(from));
       },
-      config.profile, geometric ? &seed_hook : nullptr);
+      config.profile);
 
   if (geometric && want_metrics) {
     // Global cache size, added once after the reduce (a per-shard export
     // would multiply the shared count by the shard count).
     total.metrics.add(
         "visibility.cache_entries",
-        static_cast<std::int64_t>(shared_cache->frozen_entries() +
-                                  shared_cache->overflow_entries()));
-    if (seed_executors > 1) {
-      // Emitted only when the seed phase actually fanned out, so
-      // single-target runs — and the golden metrics files — see no new key.
-      total.metrics.add("visibility.seed_parallel", seed_executors);
-    }
+        static_cast<std::int64_t>(shared_cache->frozen_entries()));
   }
   return detail::finish_qos(config, std::move(total));
 }

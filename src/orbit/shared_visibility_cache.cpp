@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace oaq {
 namespace {
@@ -50,51 +49,17 @@ SharedVisibilityCache::SharedVisibilityCache(const Constellation& constellation,
 
 void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
                                         Duration to) {
-  OAQ_REQUIRE(!frozen(), "seed_window after freeze");
+  OAQ_REQUIRE(!frozen_, "seed_window after freeze");
   const QuantizedWindow w = quantize(from, to, options_.window_quantum);
   if (w.empty) return;
-  const VisibilityKey key = make_visibility_key(target, w.q_from, w.q_to);
-  Stripe& s = stripe_of(key);
-  // The stripe lock is held across the compute: a concurrent seeder of the
-  // SAME window blocks instead of duplicating the sweep, which is the
-  // whole point of seeding. Distinct windows usually land on distinct
-  // stripes and proceed in parallel.
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto [it, inserted] = s.map.try_emplace(key);
-  if (inserted) {
-    it->second = compute(target, w.q_from, w.q_to);
-    seed_computes_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-int SharedVisibilityCache::seed_windows(const std::vector<GeoPoint>& targets,
-                                        Duration from, Duration to, int jobs) {
-  OAQ_REQUIRE(!frozen(), "seed_windows after freeze");
-  if (targets.empty()) return 0;
-  const int n = static_cast<int>(targets.size());
-  const int executors = std::min(resolve_jobs(jobs), n);
-  if (executors <= 1) {
-    for (const GeoPoint& target : targets) seed_window(target, from, to);
-    return 1;
-  }
-  // One shard per target: each sweep is Kepler-heavy and seed_window is
-  // striped-lock thread-safe, so target granularity balances well without
-  // oversubscribing the stripes. for_each_shard joins every executor
-  // before returning, preserving the seeds-happen-before-freeze contract.
-  ThreadPool::global().for_each_shard(n, executors, [&](int i) {
-    seed_window(targets[static_cast<std::size_t>(i)], from, to);
-  });
-  return executors;
+  const auto [it, inserted] =
+      entries_.try_emplace(make_visibility_key(target, w.q_from, w.q_to));
+  if (inserted) it->second = compute(target, w.q_from, w.q_to);
 }
 
 void SharedVisibilityCache::freeze() {
-  OAQ_REQUIRE(!frozen(), "freeze called twice");
-  for (Stripe& s : stripes_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    frozen_map_.merge(s.map);
-    s.map.clear();
-  }
-  frozen_.store(true, std::memory_order_release);
+  OAQ_REQUIRE(!frozen_, "freeze called twice");
+  frozen_ = true;
 }
 
 void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
@@ -102,30 +67,18 @@ void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
                                                std::vector<Pass>& out,
                                                VisibilityCacheStats* stats)
     const {
-  OAQ_REQUIRE(frozen(), "passes_window before freeze");
+  OAQ_REQUIRE(frozen_, "passes_window before freeze");
   out.clear();
   const QuantizedWindow w = quantize(from, to, options_.window_quantum);
   if (w.empty) return;
-  if (stats != nullptr) ++stats->pass_queries;
-  const VisibilityKey key = make_visibility_key(target, w.q_from, w.q_to);
-  const auto it = frozen_map_.find(key);
-  if (it != frozen_map_.end()) {
-    if (stats != nullptr) ++stats->pass_hits;
-    append_clipped(it->second, w.f, to, out);
-    return;
+  const auto it =
+      entries_.find(make_visibility_key(target, w.q_from, w.q_to));
+  OAQ_REQUIRE(it != entries_.end(), "pass window was not seeded");
+  if (stats != nullptr) {
+    ++stats->pass_queries;
+    ++stats->pass_hits;
   }
-  // Overflow: an un-seeded window. Compute-once under the stripe lock; the
-  // value is a pure function of the key, so whichever shard computes it the
-  // entry is identical. Deliberately NOT a stats hit even when present —
-  // hit counts must not depend on cross-shard timing.
-  Stripe& s = stripe_of(key);
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto [oit, inserted] = s.map.try_emplace(key);
-  if (inserted) {
-    oit->second = compute(target, w.q_from, w.q_to);
-    overflow_computes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  append_clipped(oit->second, w.f, to, out);
+  append_clipped(it->second, w.f, to, out);
 }
 
 SharedVisibilityCache::Entry SharedVisibilityCache::compute(
@@ -166,17 +119,8 @@ std::vector<Pass> SharedVisibilityCache::passes_window(
 }
 
 std::size_t SharedVisibilityCache::frozen_entries() const {
-  OAQ_REQUIRE(frozen(), "frozen_entries before freeze");
-  return frozen_map_.size();
-}
-
-std::size_t SharedVisibilityCache::overflow_entries() const {
-  std::size_t n = 0;
-  for (const Stripe& s : stripes_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    n += s.map.size();
-  }
-  return n;
+  OAQ_REQUIRE(frozen_, "frozen_entries before freeze");
+  return entries_.size();
 }
 
 }  // namespace oaq

@@ -1,40 +1,32 @@
-// Cross-shard shared visibility cache (ISSUE 4 tentpole).
+// Cross-shard shared visibility cache.
 //
 // VisibilityCache is deliberately single-threaded: every Monte-Carlo shard
-// builds its own and recomputes the same (target, window) pass sweeps — at
-// 64 episode shards the identical sweep can run 64×. SharedVisibilityCache
-// is the cross-shard replacement, built around a two-phase protocol:
+// that built its own would recompute the same (target, window) pass sweep —
+// at 64 episode shards the identical sweep would run 64×.
+// SharedVisibilityCache is the cross-shard replacement, used in one pass:
 //
-//   1. SEED (writable): seed_window() computes quantum-aligned enclosing
-//      windows compute-if-absent under striped locks. Thread-safe; the
-//      engines run it on the calling thread through the parallel_reduce
-//      seed/freeze hook before workers fan out, so the common windows are
-//      paid for exactly once per run instead of once per shard.
-//   2. FROZEN (read-mostly): freeze() consolidates the stripes into one
-//      immutable map that every shard then queries lock-free — and, via
-//      passes_window_into(), allocation-free in the steady state. Each
-//      entry keeps the running maximum of its pass ends, so a query
-//      binary-searches its first candidate pass and stops at the first
-//      pass starting after the window instead of clipping every pass.
-//      Queries whose quantized window was not seeded fall back to
-//      per-stripe overflow maps (compute-once under the stripe lock).
+//   1. SEED (single thread): seed_window() computes the quantum-aligned
+//      window enclosing a request. The engines seed their one run-covering
+//      window on the calling thread before any shard is dispatched.
+//   2. FROZEN (read-only): freeze() ends seeding; every shard then queries
+//      concurrently without locks — and, via passes_window_into(),
+//      allocation-free in the steady state. Each entry keeps the running
+//      maximum of its pass ends, so a query binary-searches its first
+//      candidate pass and stops at the first pass starting after the
+//      window instead of clipping every pass. A query whose quantized
+//      window was not seeded is a precondition failure.
 //
 // Determinism: every cached value is a pure function of its key — the
 // PassPredictor output for the quantized window — so query results never
-// depend on which thread computed an entry or in what order. Per-shard hit
-// counters stay deterministic too: a query counts as a hit iff its key is
-// in the frozen map, a set fixed at freeze(), never on overflow-map state
-// (overflow queries always count as misses, even when another shard has
-// already computed the entry).
+// depend on which thread reads them. Every successful query is a hit.
 //
-// Synchronization contract: all seed_window() calls must happen-before
-// freeze() (join the seeding threads first); queries require frozen().
+// Synchronization contract: seed_window() and freeze() run on one thread
+// and happen-before the readers start (the engines hand the frozen cache
+// to the thread pool, whose queue mutex orders the two); queries require
+// frozen().
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -53,35 +45,21 @@ class SharedVisibilityCache {
 
   /// Seed phase: compute (if absent) the quantum-aligned window enclosing
   /// [from, to] — the same quantization passes_window() uses, so a later
-  /// query with these bounds is guaranteed a frozen-map hit. Thread-safe;
-  /// must not race with freeze().
+  /// query with these bounds is guaranteed a hit. Not thread-safe; must
+  /// precede freeze().
   void seed_window(const GeoPoint& target, Duration from, Duration to);
 
-  /// Seed many targets' windows, fanning the per-target Kepler sweeps
-  /// across the global thread pool with at most `jobs` concurrent
-  /// executors (0 = auto; the caller participates). Blocks until every
-  /// sweep completed, so all seeds still happen-before a subsequent
-  /// freeze() — the barrier the two-phase protocol requires. Returns the
-  /// executor count actually used (1 = ran serially); cached entries are
-  /// pure functions of their keys, so the result set is identical for any
-  /// value.
-  int seed_windows(const std::vector<GeoPoint>& targets, Duration from,
-                   Duration to, int jobs = 0);
-
-  /// Consolidate seeded entries into the immutable lock-free map and enter
-  /// the frozen phase. Call exactly once, after all seeders have joined.
+  /// End the seed phase. Call exactly once, before any query.
   void freeze();
 
-  [[nodiscard]] bool frozen() const {
-    return frozen_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool frozen() const { return frozen_; }
 
   /// Frozen phase: passes intersecting [from, to] (negative `from` clamped
   /// to 0), clipped to the window — same values, same quantization as
   /// VisibilityCache::passes_window. Appends nothing on an empty window.
-  /// Steady state (frozen-map hit, `out` capacity reused) performs no
-  /// allocation. `stats` (optional, per-shard) counts one pass query and,
-  /// on a frozen-map hit, one pass hit.
+  /// The quantized window must have been seeded. Performs no allocation
+  /// once `out` has the capacity. `stats` (optional, per-shard) counts one
+  /// pass query and one pass hit.
   void passes_window_into(const GeoPoint& target, Duration from, Duration to,
                           std::vector<Pass>& out,
                           VisibilityCacheStats* stats = nullptr) const;
@@ -97,18 +75,10 @@ class SharedVisibilityCache {
   [[nodiscard]] bool earth_rotation() const { return earth_rotation_; }
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Entries consolidated at freeze(); requires frozen().
+  /// Windows seeded before freeze(); requires frozen().
   [[nodiscard]] std::size_t frozen_entries() const;
-  /// Entries computed on the post-freeze miss path (locks the stripes).
-  [[nodiscard]] std::size_t overflow_entries() const;
-  /// Windows actually computed by seed_window (excludes seed-phase dedup).
-  [[nodiscard]] std::uint64_t seed_computes() const {
-    return seed_computes_.load(std::memory_order_relaxed);
-  }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-
   /// One cached window: its passes (sorted by start, as PassPredictor
   /// returns them) and, per position, the latest end among the passes up
   /// to it. That running maximum is non-decreasing, so a query binary-
@@ -118,13 +88,6 @@ class SharedVisibilityCache {
     std::vector<Pass> passes;
     std::vector<Duration> reach;
   };
-  using EntryMap =
-      std::unordered_map<VisibilityKey, Entry, VisibilityKeyHash>;
-
-  struct Stripe {
-    mutable std::mutex mu;
-    EntryMap map;
-  };
 
   [[nodiscard]] Entry compute(const GeoPoint& target, Duration from,
                               Duration to) const;
@@ -132,20 +95,12 @@ class SharedVisibilityCache {
   static void append_clipped(const Entry& entry, Duration f, Duration to,
                              std::vector<Pass>& out);
 
-  [[nodiscard]] Stripe& stripe_of(const VisibilityKey& key) const {
-    return stripes_[VisibilityKeyHash{}(key) % kStripes];
-  }
-
   const Constellation* constellation_;
   bool earth_rotation_;
   Options options_;
   PassPredictor predictor_;
-  /// Seed-phase entries before freeze(); overflow entries after.
-  mutable std::array<Stripe, kStripes> stripes_;
-  EntryMap frozen_map_;
-  std::atomic<bool> frozen_{false};
-  std::atomic<std::uint64_t> seed_computes_{0};
-  mutable std::atomic<std::uint64_t> overflow_computes_{0};
+  std::unordered_map<VisibilityKey, Entry, VisibilityKeyHash> entries_;
+  bool frozen_ = false;
 };
 
 }  // namespace oaq

@@ -60,21 +60,6 @@ const std::vector<Pass>& VisibilityCache::passes(const GeoPoint& target,
       .first->second;
 }
 
-const std::vector<CoverageSegment>& VisibilityCache::multiplicity_timeline(
-    const GeoPoint& target, Duration t0, Duration t1) {
-  ++stats_.timeline_queries;
-  const VisibilityKey key = make_visibility_key(target, t0, t1);
-  const auto it = timeline_cache_.find(key);
-  if (it != timeline_cache_.end()) {
-    ++stats_.timeline_hits;
-    return it->second;
-  }
-  const std::vector<Pass>& p = passes(target, t0, t1);
-  return timeline_cache_
-      .emplace(key, PassPredictor::multiplicity_timeline(p, t0, t1))
-      .first->second;
-}
-
 std::vector<Pass> VisibilityCache::passes_window(const GeoPoint& target,
                                                  Duration from, Duration to) {
   std::vector<Pass> out;
@@ -98,12 +83,6 @@ void VisibilityCache::passes_window_into(const GeoPoint& target,
     if (p.end <= f || p.start >= to) continue;
     out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
   }
-}
-
-void VisibilityCache::clear() {
-  pass_cache_.clear();
-  timeline_cache_.clear();
-  stats_ = {};
 }
 
 }  // namespace oaq

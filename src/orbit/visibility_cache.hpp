@@ -1,4 +1,4 @@
-// Memoized pass prediction (ISSUE 3).
+// Memoized pass prediction, single-threaded.
 //
 // PassPredictor::passes solves Kepler's equation tens of thousands of
 // times per query (a sampling sweep plus root refinement per boundary).
@@ -7,9 +7,9 @@
 // the results so each distinct (target, window) pays the Kepler cost once.
 //
 // Two query layers:
-//   * passes()/multiplicity_timeline() — exact memoization: bit-identical
-//     to calling PassPredictor directly with the same arguments, keyed on
-//     the bit patterns of (target, t0, t1).
+//   * passes() — exact memoization: bit-identical to calling
+//     PassPredictor directly with the same arguments, keyed on the bit
+//     patterns of (target, t0, t1).
 //   * passes_window() — quantized queries for workloads whose windows vary
 //     per episode: the request is rounded OUT to a grid of
 //     `options.window_quantum`, the enclosing window is computed and
@@ -18,8 +18,9 @@
 //     pure function of the request (never of cache state or call order),
 //     so sharded runs stay bit-identical for any worker count.
 //
-// The cache is single-threaded by design: create one per shard/thread
-// (they are cheap — one PassPredictor plus the maps) instead of sharing.
+// The production engines read the one frozen SharedVisibilityCache
+// instead; this cache is the per-shard reference the scalar test oracle
+// (tests/support/qos_oracle) and the benches compare against.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,6 @@ namespace oaq {
 struct VisibilityCacheStats {
   std::uint64_t pass_queries = 0;
   std::uint64_t pass_hits = 0;
-  std::uint64_t timeline_queries = 0;
-  std::uint64_t timeline_hits = 0;
 };
 
 /// Bit-exact cache key shared by VisibilityCache and SharedVisibilityCache:
@@ -72,14 +71,9 @@ class VisibilityCache {
                            bool earth_rotation = false, Options options = {});
 
   /// Memoized PassPredictor::passes(target, t0, t1, tol). The reference is
-  /// stable until clear() — the underlying map never invalidates values.
+  /// stable for the cache's lifetime — the map never invalidates values.
   const std::vector<Pass>& passes(const GeoPoint& target, Duration t0,
                                   Duration t1);
-
-  /// Memoized multiplicity timeline over the cached passes for the same
-  /// window (counts one pass query internally on first computation).
-  const std::vector<CoverageSegment>& multiplicity_timeline(
-      const GeoPoint& target, Duration t0, Duration t1);
 
   /// Quantized query: passes intersecting [from, to] (negative `from` is
   /// clamped to 0 like GeometricSchedule), clipped to the window, computed
@@ -99,10 +93,7 @@ class VisibilityCache {
   [[nodiscard]] bool earth_rotation() const { return earth_rotation_; }
   [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] const VisibilityCacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t entry_count() const {
-    return pass_cache_.size() + timeline_cache_.size();
-  }
-  void clear();
+  [[nodiscard]] std::size_t entry_count() const { return pass_cache_.size(); }
 
  private:
   const Constellation* constellation_;
@@ -111,9 +102,6 @@ class VisibilityCache {
   PassPredictor predictor_;
   std::unordered_map<VisibilityKey, std::vector<Pass>, VisibilityKeyHash>
       pass_cache_;
-  std::unordered_map<VisibilityKey, std::vector<CoverageSegment>,
-                     VisibilityKeyHash>
-      timeline_cache_;
   VisibilityCacheStats stats_;
 };
 

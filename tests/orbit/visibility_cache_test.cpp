@@ -66,29 +66,6 @@ TEST(VisibilityCache, DistinctWindowsAndTargetsAreDistinctEntries) {
   EXPECT_EQ(cache.entry_count(), 3u);
 }
 
-TEST(VisibilityCache, TimelineMemoizationMatchesDirectComputation) {
-  const Constellation c = small_polar_plane();
-  const GeoPoint target{0.0, 0.0};
-  const Duration t0 = Duration::zero();
-  const Duration t1 = Duration::minutes(90);
-  VisibilityCache cache(c);
-  const PassPredictor direct(c);
-
-  const auto& cached = cache.multiplicity_timeline(target, t0, t1);
-  const auto expect =
-      PassPredictor::multiplicity_timeline(direct.passes(target, t0, t1),
-                                           t0, t1);
-  ASSERT_EQ(cached.size(), expect.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].start.to_seconds(), expect[i].start.to_seconds());
-    EXPECT_EQ(cached[i].end.to_seconds(), expect[i].end.to_seconds());
-    EXPECT_EQ(cached[i].satellites, expect[i].satellites);
-  }
-  (void)cache.multiplicity_timeline(target, t0, t1);
-  EXPECT_EQ(cache.stats().timeline_queries, 2u);
-  EXPECT_EQ(cache.stats().timeline_hits, 1u);
-}
-
 TEST(VisibilityCache, WindowQueriesShareTheQuantizedComputation) {
   const Constellation c = small_polar_plane();
   const GeoPoint target{0.0, 0.0};
@@ -152,16 +129,6 @@ TEST(VisibilityCache, NegativeWindowStartIsClampedLikeTheSchedule) {
   const auto got =
       cache.passes_window(target, Duration::minutes(-30), Duration::minutes(30));
   for (const Pass& p : got) EXPECT_GE(p.start, Duration::zero());
-}
-
-TEST(VisibilityCache, ClearResetsEntriesAndStats) {
-  const Constellation c = small_polar_plane();
-  VisibilityCache cache(c);
-  (void)cache.passes(GeoPoint{0.0, 0.0}, Duration::zero(),
-                     Duration::minutes(45));
-  cache.clear();
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.stats().pass_queries, 0u);
 }
 
 TEST(VisibilityCache, RejectsBadOptionsAndWindows) {

@@ -246,6 +246,25 @@ std::optional<FaultPlan> load_fault_plan(
   }
 }
 
+/// The plan a run arms: nullopt when `plan` is absent or empty; resolved
+/// against the constellation's shell layout in geometric mode; as given
+/// otherwise, where a shell-relative clause has nothing to resolve against
+/// and is rejected.
+std::optional<FaultPlan> resolve_fault_plan(
+    const std::optional<FaultPlan>& plan,
+    const std::optional<ConstellationChoice>& con) {
+  if (!plan || plan->empty()) return std::nullopt;
+  if (con) return plan->resolve(con->constellation);
+  for (const auto& c : plan->clauses()) {
+    if (c.shell >= 0) {
+      throw std::invalid_argument(
+          "--fault-plan uses shell-relative clauses; pass "
+          "--constellation so they can be resolved");
+    }
+  }
+  return plan;
+}
+
 /// Exact-arity comma-separated numeric flag value ("0,1,4.0,2.0,0.95").
 std::vector<double> comma_numbers(const std::string& flag,
                                   const std::string& value,
@@ -633,22 +652,8 @@ int cmd_simulate(const Args& args) {
   // are relative to the signal start, and τ bounds the protocol window.
   append_stochastic_clauses(args, plan, cfg.protocol.tau);
   if (args.flag("chaos-sweep")) return run_chaos_sweep(cfg, plan);
-  std::optional<FaultPlan> resolved;
-  if (plan && !plan->empty()) {
-    if (con) {
-      resolved = plan->resolve(con->constellation);
-    } else {
-      for (const auto& c : plan->clauses()) {
-        if (c.shell >= 0) {
-          throw std::invalid_argument(
-              "--fault-plan uses shell-relative clauses; pass "
-              "--constellation so they can be resolved");
-        }
-      }
-      resolved = *plan;
-    }
-    cfg.fault_plan = &*resolved;
-  }
+  const std::optional<FaultPlan> resolved = resolve_fault_plan(plan, con);
+  if (resolved) cfg.fault_plan = &*resolved;
   cfg.check_invariants =
       args.flag("check-invariants") || cfg.fault_plan != nullptr;
 
@@ -737,22 +742,8 @@ int cmd_campaign(const Args& args) {
   // expand over the whole horizon.
   auto plan = load_fault_plan(args, cfg.horizon);
   append_stochastic_clauses(args, plan, cfg.horizon);
-  std::optional<FaultPlan> resolved;
-  if (plan && !plan->empty()) {
-    if (con) {
-      resolved = plan->resolve(con->constellation);
-    } else {
-      for (const auto& c : plan->clauses()) {
-        if (c.shell >= 0) {
-          throw std::invalid_argument(
-              "--fault-plan uses shell-relative clauses; pass "
-              "--constellation so they can be resolved");
-        }
-      }
-      resolved = *plan;
-    }
-    cfg.fault_plan = &*resolved;
-  }
+  const std::optional<FaultPlan> resolved = resolve_fault_plan(plan, con);
+  if (resolved) cfg.fault_plan = &*resolved;
   cfg.check_invariants =
       args.flag("check-invariants") || cfg.fault_plan != nullptr;
 
